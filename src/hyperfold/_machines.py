@@ -3,9 +3,10 @@
 Each machine is an explicit work-stack loop — never native recursion — and
 returns a plain status tuple ``(status, value, steps, peak_value)`` with
 status 0 = ok, 1 = step budget tripped, 2 = magnitude cap tripped.  The
-numba kernels in :mod:`hyperfold._kernels` mirror these loops instruction
-for instruction so that both backends report identical stats; change one and
-you must change the other.
+numba kernels in :mod:`hyperfold._kernels` mirror ``ack_machine`` and
+``conway_machine`` instruction for instruction so that both backends report
+identical stats; change one and you must change the other.
+``knuth_machine`` has no numba twin.
 
 Counters are kept in locals and compared against precomputed limits: these
 loops run tens of millions of iterations per call, so no attribute lookups
@@ -13,6 +14,8 @@ or method calls in the hot path.
 """
 
 from __future__ import annotations
+
+from math import log
 
 from .budget import decimal_digits
 
@@ -85,35 +88,99 @@ def ack_machine(m0, n0, max_steps, mag_limit, steps0=0):
 
 
 def knuth_machine(a, n0, b, max_steps, mag_limit, steps0=0):
-    """Extended up-arrow by its rewrite equations; level 0 is one multiply."""
+    """Extended up-arrow by its rewrite equations; level 0 is one multiply.
+
+    The literal machine pops one level per equation application: level 0
+    multiplies ``val`` by ``a``; level k >= 1 at ``val == 0`` sets it to 1;
+    otherwise it decrements ``val`` and pushes k-1 below k.  Here the work
+    stack holds ``(level, count)`` runs instead, and each rule costs one
+    bounds-checked operation:
+
+    * descent: a level-k >= 1 frame at ``val = v`` is the next v+1
+      applications; it is charged v+1 steps at once, pushes the run
+      ``(k-1, v)`` (nothing when v = 0) and sets ``val = 1``;
+    * multiply run: a run of c level-0 frames is ``val * a**c`` in c steps.
+      When it can grow (a >= 2, val >= 1) its magnitude trip point, the
+      first j with ``val * a**j >= mag_limit``, is found in closed form
+      (:func:`_first_reaching`) and compared against the step headroom: a
+      magnitude trip reports ``steps + j`` and ``val * a**j``, a step trip
+      reports ``max_steps`` with ``val * a**headroom`` counted in the peak.
+
+    Run levels strictly decrease from the bottom of the stack to the top
+    (a pop leaves a level >= k on top and the descent pushes k-1), so a
+    pushed run never meets an equal one and the stack never holds more than
+    n0 + 1 runs.  Values, steps, trip kinds and peaks are exactly those of
+    the literal machine, which ``tests/_oracles.py`` keeps as
+    ``knuth_literal_machine`` and the tests compare against tuple for tuple.
+    """
     steps = steps0
     val = b
     peak = max(a, n0, b)
     if peak >= mag_limit:
         return (TRIP_MAGNITUDE, 0, steps, peak)
-    stack = [n0]
-    pop = stack.pop
-    push = stack.append
-    while stack:
-        k = pop()
-        steps += 1
+    grows = a >= 2
+    levels = [n0]
+    counts = [1]
+    while levels:
+        k = levels[-1]
+        if k == 0:
+            levels.pop()
+            c = counts.pop()
+            headroom = max_steps - steps
+            if grows and val and headroom > 0:
+                j, v = _first_reaching(val, a, mag_limit, min(c, headroom))
+                if j:
+                    return (TRIP_MAGNITUDE, 0, steps + j, v)
+                val = v
+                if v > peak:
+                    peak = v
+            elif a == 0:
+                val = 0
+            if c > headroom:
+                return (TRIP_STEPS, 0, max_steps, peak)
+            steps += c
+            continue
+        c = counts[-1]
+        if c == 1:
+            levels.pop()
+            counts.pop()
+        else:
+            counts[-1] = c - 1
+        steps += val + 1
         if steps > max_steps:
             return (TRIP_STEPS, 0, max_steps, peak)
-        if k == 0:
-            val = a * val
-            if val > peak:
-                peak = val
-                if val >= mag_limit:
-                    return (TRIP_MAGNITUDE, 0, steps, peak)
-        elif val == 0:
-            val = 1
-            if peak < 1:
-                peak = 1
-        else:
-            val -= 1
-            push(k - 1)
-            push(k)
+        if val:
+            levels.append(k - 1)
+            counts.append(val)
+        val = 1  # never a new peak: peak >= n0 >= k >= 1
     return (OK, val, steps, peak)
+
+
+def _first_reaching(val, a, limit, most):
+    """The first j in 1..most with ``val * a**j >= limit``, and that value.
+
+    Needs a >= 2, 1 <= val < limit and most >= 1.  Returns ``(j, val *
+    a**j)``, or ``(0, val * a**most)`` when no such j exists.  A float
+    estimate of j is corrected by exact integer comparisons, so no value
+    much larger than ``limit * a`` is ever built.
+    """
+    estimate = (log(limit) - log(val)) / log(a)
+    j = most if estimate >= most else max(1, int(estimate))
+    v = val * a**j
+    if v >= limit:
+        while j > 1:
+            smaller = v // a
+            if smaller < limit:
+                break
+            v = smaller
+            j -= 1
+        return (j, v)
+    while j < most:
+        v *= a
+        j += 1
+        if v >= limit:
+            return (j, v)
+    return (0, v)
 
 
 def _pow_counted(base, exponent, max_steps, mag_limit, max_digits, steps, peak):

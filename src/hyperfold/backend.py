@@ -20,6 +20,7 @@ machine.  Results and stats therefore never depend on the backend.
 
 from __future__ import annotations
 
+import functools
 import importlib.util
 import os
 
@@ -35,7 +36,10 @@ _BAIL = 3
 _kernels_module = None
 
 
+@functools.cache
 def _numba_installed() -> bool:
+    # probed once per process: find_spec costs about as much as a small
+    # evaluation, and every dispatch asks
     return importlib.util.find_spec("numba") is not None
 
 

@@ -108,21 +108,34 @@ def magnitude_limit(max_digits: int) -> int:
     return _pow10(max_digits)
 
 
-def int_to_decimal(value: int) -> str:
-    """Plain decimal rendering, lifting the interpreter's int->str cap."""
+def count_text(n: int) -> str:
+    """A count for an error message: in full when short, else by its digit
+    count, so that no message renders an int past the int->str cap."""
+    digits = decimal_digits(n)
+    return str(n) if digits <= 18 else f"a {digits}-digit number of"
+
+
+def _lift_str_digits_cap(need: int) -> None:
+    """Raise the interpreter's int<->str digit cap to at least ``need``.
+
+    A current cap of 0 means no cap, and is left alone.
+    """
     limit_fn = getattr(sys, "set_int_max_str_digits", None)
     if limit_fn is not None:
-        need = decimal_digits(value) + 10
-        if sys.get_int_max_str_digits() < need:
+        current = sys.get_int_max_str_digits()
+        if 0 < current < need:
             limit_fn(need)
+
+
+def int_to_decimal(value: int) -> str:
+    """Plain decimal rendering, lifting the interpreter's int->str cap."""
+    _lift_str_digits_cap(decimal_digits(value) + 10)
     return str(value)
 
 
 def decimal_to_int(text: str) -> int:
     """Parse a decimal digit run, lifting the interpreter's str->int cap."""
-    limit_fn = getattr(sys, "set_int_max_str_digits", None)
-    if limit_fn is not None and sys.get_int_max_str_digits() < len(text) + 10:
-        limit_fn(len(text) + 10)
+    _lift_str_digits_cap(len(text) + 10)
     return int(text)
 
 
@@ -184,7 +197,7 @@ def checked_pow(base: int, exponent: int, meter: Meter) -> int:
     estimate = exponent * decimal_digits(base)
     if estimate > meter.max_digits:
         raise MagnitudeExceeded(
-            f"power would reach ~{estimate} digits "
+            f"power would reach up to {count_text(estimate)} digits "
             f"(max_digits={meter.max_digits})",
             meter.stats(),
         )

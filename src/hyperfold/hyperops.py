@@ -37,6 +37,7 @@ from .budget import (
     MagnitudeExceeded,
     Meter,
     checked_pow,
+    count_text,
 )
 from .folds import foldr_seq
 
@@ -64,7 +65,7 @@ def _require_natural(name: str, value, meter: Meter) -> int:
 def _ensure_depth(depth: int, meter: Meter) -> None:
     if depth > CLOSURE_DEPTH_LIMIT:
         raise ConstructionLimit(
-            f"fold form would nest {depth} closures "
+            f"fold form would nest {count_text(depth)} closures "
             f"(limit {CLOSURE_DEPTH_LIMIT})",
             meter.stats(),
         )
@@ -276,7 +277,7 @@ def _conway_layer(o: int, k, meter: Meter):
         meter.spend()
         if q > CLOSURE_DEPTH_LIMIT:
             raise ConstructionLimit(
-                f"fold form would nest {q} closures "
+                f"fold form would nest {count_text(q)} closures "
                 f"(limit {CLOSURE_DEPTH_LIMIT})",
                 meter.stats(),
             )

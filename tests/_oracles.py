@@ -4,8 +4,9 @@ Everything here is deliberately naive (memoized recursion straight off the
 equations) and shares no code with the package; expected values in the test
 tables were produced by these before being frozen.  ``count_ack_steps``
 additionally gives the exact number of equation applications the rewrite
-evaluator must account for, and ``ack_literal_machine`` is the unshortcut
-work-stack rewriter used to pin down the production machine's accounting.
+evaluator must account for, and ``ack_literal_machine`` and
+``knuth_literal_machine`` are the unshortcut work-stack rewriters used to pin
+down the production machines' accounting.
 """
 
 from __future__ import annotations
@@ -124,3 +125,37 @@ def ack_literal_machine(m0: int, n0: int, max_steps: int, mag_limit: int):
             stack.append(m - 1)
             stack.append(m)
     return (0, n, steps, peak)
+
+
+def knuth_literal_machine(a, n0, b, max_steps, mag_limit, steps0=0):
+    """The unshortcut Knuth rewrite machine: one loop iteration and one
+    stack slot per equation application.  Same signature and status-tuple
+    protocol as the production ``knuth_machine``."""
+    steps = steps0
+    val = b
+    peak = max(a, n0, b)
+    if peak >= mag_limit:
+        return (2, 0, steps, peak)
+    stack = [n0]
+    pop = stack.pop
+    push = stack.append
+    while stack:
+        k = pop()
+        steps += 1
+        if steps > max_steps:
+            return (1, 0, max_steps, peak)
+        if k == 0:
+            val = a * val
+            if val > peak:
+                peak = val
+                if val >= mag_limit:
+                    return (2, 0, steps, peak)
+        elif val == 0:
+            val = 1
+            if peak < 1:
+                peak = 1
+        else:
+            val -= 1
+            push(k - 1)
+            push(k)
+    return (0, val, steps, peak)

@@ -1,5 +1,6 @@
 """The numba kernels must be bit-for-bit equivalent to the Python machines."""
 
+import importlib.util
 import itertools
 
 import pytest
@@ -36,6 +37,27 @@ def test_backend_name_env_override(monkeypatch):
         backend.backend_name()
     monkeypatch.delenv("HYPERFOLD_BACKEND")
     assert backend.backend_name() in ("python", "numba")
+
+
+def test_numba_probe_runs_once_per_process(monkeypatch):
+    probes = []
+    real_find_spec = importlib.util.find_spec
+
+    def counting_find_spec(name, *args, **kwargs):
+        if name == "numba":
+            probes.append(name)
+        return real_find_spec(name, *args, **kwargs)
+
+    monkeypatch.setattr(importlib.util, "find_spec", counting_find_spec)
+    monkeypatch.delenv("HYPERFOLD_BACKEND", raising=False)
+    backend._numba_installed.cache_clear()
+    try:
+        mag = magnitude_limit(100)
+        assert backend.run_ack(2, 3, 10**6, mag, 100, 0)[1] == 9
+        assert backend.run_conway((2, 3), 10**6, mag, 100, 0)[1] == 8
+    finally:
+        backend._numba_installed.cache_clear()
+    assert len(probes) == 1
 
 
 @numba_only

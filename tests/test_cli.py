@@ -1,17 +1,21 @@
+import os
 import subprocess
 import sys
 import time
 
+import pytest
+
 CLI = [sys.executable, "-m", "hyperfold.cli"]
 
 
-def run_cli(*args, stdin=None, timeout=120):
+def run_cli(*args, stdin=None, timeout=120, env=None):
     return subprocess.run(
         CLI + list(args),
         input=stdin,
         capture_output=True,
         text=True,
         timeout=timeout,
+        env=env,
     )
 
 
@@ -71,6 +75,30 @@ def test_magnitude_cap_exits_3():
     proc = run_cli("--max-digits", "3", "eval", "knuth(10,1,50)")
     assert proc.returncode == 3
     assert "digits" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "text, code, kind, stats",
+    [
+        ("2->4->3", 3, "magnitude", "steps=76 peak_digits=19729"),
+        ("knuth(2, 2^^5, 2)", 4, "construction", "steps=65567 peak_digits=19729"),
+    ],
+)
+def test_error_message_with_count_past_int_str_cap(text, code, kind, stats):
+    # a fresh process, so no earlier large render has lifted the int->str
+    # cap; a ~20,000-digit count must not be rendered into the message
+    proc = run_cli("--form", "primitive", "eval", text)
+    assert proc.returncode == code, proc.stderr
+    assert proc.stderr.startswith(f"{kind}:")
+    assert stats in proc.stderr.splitlines()
+
+
+def test_eval_with_int_str_cap_disabled():
+    # PYTHONINTMAXSTRDIGITS=0 means no cap; it must be left alone
+    env = dict(os.environ, PYTHONINTMAXSTRDIGITS="0")
+    proc = run_cli("eval", "2^^4", env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == "65536"
 
 
 def test_repl_session():

@@ -1,11 +1,13 @@
 import itertools
+import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _oracles
-from hyperfold._machines import ack_machine
+from hyperfold._machines import ack_machine, knuth_machine
 from hyperfold.budget import (
     Budget,
     BudgetExceeded,
@@ -198,6 +200,72 @@ def test_knuth_magnitude_trip():
         knuth_ref(10, 1, 50, Budget(max_steps=10**6, max_digits=3))
     with pytest.raises(MagnitudeExceeded):
         knuth_prim(10, 1, 50, Budget(max_steps=10**6, max_digits=3))
+
+
+KNUTH_GRID_STEPS = (1, 2, 3, 5, 10, 50, 300, 5000, 10**6)
+KNUTH_GRID_DIGITS = (1, 2, 4, 12, 100)
+
+
+@pytest.mark.parametrize("steps0", [0, 7])
+def test_knuth_machine_matches_literal_grid(steps0):
+    # the run-length machine charges whole descents and multiply runs at
+    # once; every status tuple must equal the one-step-per-rule machine's
+    for a, n, b in itertools.product(range(5), repeat=3):
+        for max_steps in KNUTH_GRID_STEPS:
+            for max_digits in KNUTH_GRID_DIGITS:
+                mag = magnitude_limit(max_digits)
+                want = _oracles.knuth_literal_machine(a, n, b, max_steps, mag, steps0)
+                got = knuth_machine(a, n, b, max_steps, mag, steps0)
+                assert got == want, (a, n, b, max_steps, max_digits, steps0)
+
+
+_knuth_entry = st.one_of(st.integers(0, 12), st.integers(0, 10**6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    _knuth_entry,
+    st.integers(0, 8),
+    _knuth_entry,
+    st.integers(1, 20_000),
+    st.integers(1, 400),
+    st.integers(0, 50),
+)
+def test_knuth_machine_matches_literal_sampled(a, n, b, max_steps, max_digits, steps0):
+    mag = magnitude_limit(max_digits)
+    want = _oracles.knuth_literal_machine(a, n, b, max_steps, mag, steps0)
+    assert knuth_machine(a, n, b, max_steps, mag, steps0) == want
+
+
+@pytest.mark.parametrize(
+    "args, budget, stats",
+    [
+        ((3, 3, 3), Budget(max_steps=10**12), (10**12, 13)),
+        ((2, 3, 4), B, (10**7, 19729)),
+    ],
+)
+def test_knuth_ref_large_budget_trips_fast(args, budget, stats):
+    # the literal machine decrements a 19,729-digit value 10**7 times for
+    # knuth(2,3,4) and could never reach 10**12 steps; the bound is loose
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded) as trip:
+        knuth_ref(*args, budget)
+    elapsed = time.perf_counter() - start
+    assert (trip.value.stats.steps_used, trip.value.stats.peak_digits) == stats
+    assert elapsed < 1.0, f"knuth_ref{args} took {elapsed:.2f} s"
+
+
+def test_knuth_ref_trip_memory_is_bounded_by_runs():
+    # one stack slot per pushed level held 89 MB on this trip; runs hold
+    # at most n + 1 entries
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded):
+            knuth_ref(3, 3, 3, B)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 # --- cpow and the Conway back end -----------------------------------------
