@@ -2,11 +2,7 @@
 
 Each machine is an explicit work-stack loop — never native recursion — and
 returns a plain status tuple ``(status, value, steps, peak_value)`` with
-status 0 = ok, 1 = step budget tripped, 2 = magnitude cap tripped.  The
-numba kernels in :mod:`hyperfold._kernels` mirror ``ack_machine`` and
-``conway_machine`` instruction for instruction so that both backends report
-identical stats; change one and you must change the other.
-``knuth_machine`` has no numba twin.
+status 0 = ok, 1 = step budget tripped, 2 = magnitude cap tripped.
 
 Counters are kept in locals and compared against precomputed limits: these
 loops run tens of millions of iterations per call, so no attribute lookups

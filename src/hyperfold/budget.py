@@ -3,7 +3,7 @@
 Every evaluator in this package is total only because it is budgeted: a step
 budget bounds how many rewrite/fold/arithmetic operations may run, and a
 digit budget bounds how large any intermediate value may grow.  The charging
-rules, shared by every evaluator and both backends:
+rules, shared by every evaluator:
 
 * one step per reference-equation rewrite,
 * one step per fold-generator application (closure entry in the fold forms),
@@ -16,6 +16,7 @@ during the evaluation, inputs included.
 
 from __future__ import annotations
 
+import functools
 import sys
 from dataclasses import dataclass
 
@@ -92,20 +93,22 @@ def decimal_digits(value: int) -> int:
     return guess + 1
 
 
-_POW10_CACHE: dict[int, int] = {}
+#: powers of ten kept for decimal_digits: bounded, so that a long session
+#: holds the sizes it saw last, not every size it ever saw
+_POW10_CACHE_SIZE = 64
 
 
+@functools.lru_cache(maxsize=_POW10_CACHE_SIZE)
 def _pow10(e: int) -> int:
-    p = _POW10_CACHE.get(e)
-    if p is None:
-        p = 10**e
-        _POW10_CACHE[e] = p
-    return p
+    return 10**e
 
 
+#: every Meter asks for its budget's limit (10**100000 by default, ~5 ms to
+#: build), so those few are kept apart from the churn of decimal_digits
+@functools.lru_cache(maxsize=4)
 def magnitude_limit(max_digits: int) -> int:
     """Smallest value with more than ``max_digits`` digits."""
-    return _pow10(max_digits)
+    return 10**max_digits
 
 
 def count_text(n: int) -> str:

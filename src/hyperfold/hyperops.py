@@ -3,8 +3,7 @@
 Each function of the hierarchy is implemented twice:
 
 * ``*_ref`` — the self-referential rewrite equations, run on an explicit
-  work-stack machine (:mod:`hyperfold._machines`, with optional numba
-  acceleration via :mod:`hyperfold.backend`);
+  work-stack machine (:mod:`hyperfold._machines`);
 * ``*_prim`` — the equivalent fold form, built from nested closures over
   :func:`hyperfold.folds.foldn` / :func:`hyperfold.folds.foldr_seq`:
 
@@ -24,11 +23,19 @@ as written); the reversed working order is internal.
 
 from __future__ import annotations
 
+import contextlib
 import sys
+import threading
 from typing import Callable, Sequence
 
-from . import backend
-from ._machines import OK, TRIP_MAGNITUDE, TRIP_STEPS, knuth_machine
+from ._machines import (
+    OK,
+    TRIP_MAGNITUDE,
+    TRIP_STEPS,
+    ack_machine,
+    conway_machine,
+    knuth_machine,
+)
 from .budget import (
     Budget,
     BudgetExceeded,
@@ -39,14 +46,14 @@ from .budget import (
     checked_pow,
     count_text,
 )
-from .folds import foldr_seq
+from .folds import foldn, foldr_seq
 
 #: a Conway chain in written order; every entry >= 1, empty chain denotes 1
 Chain = tuple[int, ...]
 
 DEFAULT_BUDGET = Budget()
 
-#: fold-form evaluation nests one Python frame per closure layer; beyond
+#: fold-form evaluation nests a few Python frames per closure layer; beyond
 #: this the interpreter stack is at risk, and nothing this deep fits any
 #: sane budget anyway
 CLOSURE_DEPTH_LIMIT = 1200
@@ -102,9 +109,7 @@ def _finish_machine(result, meter: Meter) -> int:
 def eval_ack_ref(m: int, n: int, meter: Meter) -> int:
     m = _require_natural("m", m, meter)
     n = _require_natural("n", n, meter)
-    result = backend.run_ack(
-        m, n, meter.max_steps, meter.mag_limit, meter.max_digits, meter.steps
-    )
+    result = ack_machine(m, n, meter.max_steps, meter.mag_limit, meter.steps)
     return _finish_machine(result, meter)
 
 
@@ -134,12 +139,7 @@ def _ack_layer(f: Callable[[int], int], meter: Meter) -> Callable[[int], int]:
     # \f -> foldn f (f 1)
     def g(x: int) -> int:
         meter.spend()
-        acc = f(1)
-        remaining = x
-        while remaining > 0:
-            remaining -= 1
-            acc = f(acc)
-        return acc
+        return foldn(f, f(1), x)
 
     return g
 
@@ -187,12 +187,7 @@ def _knuth_layer(f: Callable[[int], int], meter: Meter) -> Callable[[int], int]:
     # \f -> foldn f 1
     def g(x: int) -> int:
         meter.spend()
-        acc = 1
-        remaining = x
-        while remaining > 0:
-            remaining -= 1
-            acc = f(acc)
-        return acc
+        return foldn(f, 1, x)
 
     return g
 
@@ -214,7 +209,7 @@ def _checked_chain(entries: Sequence[int], meter: Meter) -> Chain:
 
 def eval_conway_ref(entries: Sequence[int], meter: Meter) -> int:
     chain = _checked_chain(entries, meter)
-    result = backend.run_conway(
+    result = conway_machine(
         chain, meter.max_steps, meter.mag_limit, meter.max_digits, meter.steps
     )
     return _finish_machine(result, meter)
@@ -299,14 +294,12 @@ def _conway_layer(o: int, k, meter: Meter):
 
 def _conway_inner(f: Callable[[int], int], k, o: int, meter: Meter):
     # aux2 f = foldn (f . subtract 1) (k 0 o)
+    def f_pred(v: int) -> int:
+        return f(v - 1)
+
     def h(p: int) -> int:
         meter.spend()
-        acc = k(0, o)
-        remaining = p
-        while remaining > 0:
-            remaining -= 1
-            acc = f(acc - 1)
-        return acc
+        return foldn(f_pred, k(0, o), p)
 
     return h
 
@@ -316,10 +309,39 @@ def _conway_inner(f: Callable[[int], int], k, o: int, meter: Meter):
 # ---------------------------------------------------------------------------
 
 
+_scope_lock = threading.Lock()
+_scope_count = 0
+_caller_limit = 0
+
+
+@contextlib.contextmanager
+def recursion_scope():
+    """Run one evaluation, during which ``_ensure_depth`` may raise the
+    recursion limit.
+
+    The limit is process-wide, so the caller's limit comes back when the
+    last evaluation running in any thread ends, never under one that may
+    still be nested deeper than it.
+    """
+    global _scope_count, _caller_limit
+    with _scope_lock:
+        if _scope_count == 0:
+            _caller_limit = sys.getrecursionlimit()
+        _scope_count += 1
+    try:
+        yield
+    finally:
+        with _scope_lock:
+            _scope_count -= 1
+            if _scope_count == 0:
+                sys.setrecursionlimit(_caller_limit)
+
+
 def _run(fn, *args, budget: Budget):
     meter = Meter(budget)
     try:
-        value = fn(*args, meter)
+        with recursion_scope():
+            value = fn(*args, meter)
     except RecursionError:
         # compound closure nesting across layers can overrun the static
         # per-dimension guards; surface it as the same kind of limit

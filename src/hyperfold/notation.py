@@ -39,6 +39,7 @@ from .hyperops import (
     eval_conway_ref,
     eval_knuth_prim,
     eval_knuth_ref,
+    recursion_scope,
 )
 
 MAX_LITERAL_DIGITS = 10**5
@@ -385,7 +386,8 @@ def _eval_node(e: Expr, prim: bool, meter: Meter) -> int:
 def _eval_form(e: Expr, prim: bool, budget: Budget) -> tuple[int, EvalStats]:
     meter = Meter(budget)
     try:
-        value = _eval_node(e, prim, meter)
+        with recursion_scope():
+            value = _eval_node(e, prim, meter)
     except RecursionError:
         raise ConstructionLimit(
             "evaluation exceeded the safe nesting depth", meter.stats()

@@ -24,8 +24,9 @@ from hyperfold.hyperops import (
     knuth_prim,
     knuth_ref,
 )
-from hyperfold.notation import Ack, ChainE, ConwayCall, Knuth, NatLit, ParseError
+from hyperfold.notation import Ack, ChainE, Knuth, NatLit, ParseError
 from hyperfold.notation import parse, render
+from hyperfold.selftest import _random_expr
 
 B = Budget()
 CLI = [sys.executable, "-m", "hyperfold.cli"]
@@ -244,31 +245,6 @@ def test_criterion_7_budget_behavior():
     assert steps_used <= 1000
     assert t2.seconds < t.seconds or t2.seconds < 2.0
     report(7, "3->3->3 exits 3 under defaults; 10^3-step run reports <=1000", t)
-
-
-def _random_expr(rng: random.Random, depth: int):
-    pick = rng.randrange(8) if depth > 0 else 0
-    if pick <= 2:
-        return NatLit(rng.randrange(100))
-    if pick == 3:
-        return Ack(_random_expr(rng, depth - 1), _random_expr(rng, depth - 1))
-    if pick == 4:
-        return Knuth(
-            _random_expr(rng, depth - 1),
-            NatLit(rng.randrange(6)),
-            _random_expr(rng, depth - 1),
-        )
-    if pick == 5:
-        return Knuth(
-            _random_expr(rng, depth - 1),
-            _random_expr(rng, depth - 1),
-            _random_expr(rng, depth - 1),
-        )
-    if pick == 6:
-        k = rng.randrange(4)
-        return ConwayCall(tuple(_random_expr(rng, depth - 1) for _ in range(k)))
-    k = rng.randrange(2, 5)
-    return ChainE(tuple(_random_expr(rng, depth - 1) for _ in range(k)))
 
 
 def test_criterion_8_parser_round_trip():

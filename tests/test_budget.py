@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hyperfold import budget
 from hyperfold.budget import (
     Budget,
     BudgetExceeded,
@@ -14,6 +15,7 @@ from hyperfold.budget import (
     int_to_decimal,
     magnitude_limit,
 )
+from hyperfold.hyperops import knuth_ref
 
 
 def test_budget_defaults_and_validation():
@@ -41,6 +43,17 @@ def test_decimal_digits_boundaries():
 def test_magnitude_limit_is_first_overflowing_value():
     assert decimal_digits(magnitude_limit(5) - 1) == 5
     assert decimal_digits(magnitude_limit(5)) == 6
+
+
+def test_power_of_ten_caches_stay_bounded():
+    # 300 results of distinct sizes, up to 90,309 digits, each sized by stats
+    for k in range(1000, 300001, 1000):
+        assert knuth_ref(2, 1, k)[0] == 2**k
+    assert budget._pow10.cache_info().currsize <= budget._POW10_CACHE_SIZE
+    # the default budget's limit, 10**100000, is still cached
+    misses = budget.magnitude_limit.cache_info().misses
+    Meter(Budget())
+    assert budget.magnitude_limit.cache_info().misses == misses
 
 
 def test_meter_spend_clamps_at_limit():

@@ -1,4 +1,5 @@
 import itertools
+import sys
 import time
 import tracemalloc
 
@@ -26,6 +27,7 @@ from hyperfold.hyperops import (
     knuth_prim,
     knuth_ref,
 )
+from hyperfold.notation import evaluate, parse
 
 B = Budget()
 SMALL_CHAINS = [
@@ -193,6 +195,20 @@ def test_knuth_deep_tower_levels_collapse_on_unit():
     # a ^(n) 1 == a for every level; exercises deep fold nesting
     assert knuth_prim(2, 600, 1, B)[0] == 2
     assert knuth_ref(2, 600, 1, B)[0] == 2
+
+
+def test_deep_fold_forms_leave_the_recursion_limit_unchanged():
+    # 1100 nested closures need more than the default limit of 1000 frames;
+    # the evaluators may raise it while they run, never after they return
+    caller_limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(2000)
+    try:
+        assert knuth_prim(2, 1100, 1, B)[0] == 2
+        assert sys.getrecursionlimit() == 2000
+        assert evaluate(parse("knuth(2,1100,1)"), "primitive", B)[0] == 2
+        assert sys.getrecursionlimit() == 2000
+    finally:
+        sys.setrecursionlimit(caller_limit)
 
 
 def test_knuth_magnitude_trip():
@@ -449,3 +465,31 @@ def test_concurrent_evaluations_are_isolated():
         futures = {seed: pool.submit(job, seed) for seed in range(8)}
         for seed, fut in futures.items():
             assert fut.result() == expected[seed]
+
+
+def test_concurrent_deep_fold_forms_keep_the_raised_recursion_limit():
+    # the recursion limit is process-wide: a shallow evaluation that ends
+    # must not restore the caller's limit under a deep one still running
+    import concurrent.futures
+
+    def deep():
+        return [knuth_prim(2, 1100, 1, B)[0] for _ in range(40)]
+
+    def shallow():
+        return [ack_prim(2, 3, B)[0] for _ in range(400)]
+
+    caller_limit = sys.getrecursionlimit()
+    switch_interval = sys.getswitchinterval()
+    sys.setrecursionlimit(2000)
+    sys.setswitchinterval(1e-5)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(fn) for fn in (deep, shallow, deep, shallow)]
+            done, _ = concurrent.futures.wait(futures, timeout=60)
+            assert len(done) == 4
+            results = [fut.result() for fut in futures]
+        assert sys.getrecursionlimit() == 2000
+    finally:
+        sys.setswitchinterval(switch_interval)
+        sys.setrecursionlimit(caller_limit)
+    assert results == [[2] * 40, [9] * 400] * 2
