@@ -1,8 +1,9 @@
 """Pure-Python rewrite machines for the reference evaluators.
 
 Each machine is an explicit work-stack loop — never native recursion — and
-returns a plain status tuple ``(status, value, steps, peak_value)`` with
-status 0 = ok, 1 = step budget tripped, 2 = magnitude cap tripped.
+returns a plain status tuple ``(status, value, steps, peak_value)`` in the
+protocol of :mod:`hyperfold.budget`, which defines the statuses and whose
+``Meter.settle`` turns a trip into its exception.
 
 Counters are kept in locals and compared against precomputed limits: these
 loops run tens of millions of iterations per call, so no attribute lookups
@@ -13,11 +14,7 @@ from __future__ import annotations
 
 from math import log
 
-from .budget import decimal_digits
-
-OK = 0
-TRIP_STEPS = 1
-TRIP_MAGNITUDE = 2
+from .budget import OK, TRIP_MAGNITUDE, TRIP_STEPS, pow_counted
 
 
 def ack_machine(m0, n0, max_steps, mag_limit, steps0=0):
@@ -179,41 +176,6 @@ def _first_reaching(val, a, limit, most):
     return (0, v)
 
 
-def _pow_counted(base, exponent, max_steps, mag_limit, max_digits, steps, peak):
-    """Square-and-multiply with the shared charging rules.
-
-    Returns (status, value, steps, peak).  Fails fast when the digit bound
-    exponent * digits(base) exceeds max_digits; the bound is exact for
-    base <= 1, so 1^huge never trips.
-    """
-    if exponent == 0:
-        return (OK, 1, steps, peak)
-    if base <= 1:
-        return (OK, base, steps, peak)
-    if exponent * decimal_digits(base) > max_digits:
-        return (TRIP_MAGNITUDE, 0, steps, peak)
-    result = 1
-    square = base
-    e = exponent
-    while True:
-        if e & 1:
-            steps += 1
-            if steps > max_steps:
-                return (TRIP_STEPS, 0, max_steps, peak)
-            result *= square
-            if result > peak:
-                peak = result
-        e >>= 1
-        if e == 0:
-            return (OK, result, steps, peak)
-        steps += 1
-        if steps > max_steps:
-            return (TRIP_STEPS, 0, max_steps, peak)
-        square *= square
-        if square > peak:
-            peak = square
-
-
 def conway_machine(entries, max_steps, mag_limit, max_digits, steps0=0):
     """Chained-arrow rewriting over the reversed chain, one step per rule.
 
@@ -221,7 +183,11 @@ def conway_machine(entries, max_steps, mag_limit, max_digits, steps0=0):
     rev is the reversed chain (rewrites only ever touch the first two
     positions, so the tail is shared by index).  The general rule pushes a
     continuation frame (h0 - 1, idx) and descends into (h0, h1 - 1, idx);
-    a finished sub-value v resumes the top frame as (q', v, idx').
+    a finished sub-value v resumes the top frame as (q', v, idx').  The
+    two-element base is one :func:`~hyperfold.budget.pow_counted` call,
+    charged like every other power.  ``tests/_oracles.py`` keeps the
+    machine as it was with a private power loop, ``conway_literal_machine``,
+    and the tests compare the two tuple for tuple.
     """
     steps = steps0
     peak = 0
@@ -255,13 +221,11 @@ def conway_machine(entries, max_steps, mag_limit, max_digits, steps0=0):
             return (TRIP_STEPS, 0, max_steps, peak)
         if idx == end:
             # two-element base: reversed [q, p] denotes p^q
-            status, value, steps, peak = _pow_counted(
-                h1, h0, max_steps, mag_limit, max_digits, steps, peak
+            status, value, steps, peak = pow_counted(
+                h1, h0, max_steps, max_digits, steps, peak
             )
             if status != OK:
                 return (status, 0, steps, peak)
-            if value >= mag_limit:
-                return (TRIP_MAGNITUDE, 0, steps, peak)
             if not frame_q:
                 return (OK, value, steps, peak)
             h0 = pop_q()

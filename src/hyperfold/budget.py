@@ -1,9 +1,9 @@
-"""Resource budgets, consumption stats and the error taxonomy.
+"""Resource budgets, the charging rules, and the error taxonomy.
 
 Every evaluator in this package is total only because it is budgeted: a step
 budget bounds how many rewrite/fold/arithmetic operations may run, and a
-digit budget bounds how large any intermediate value may grow.  The charging
-rules, shared by every evaluator:
+digit budget bounds how large any intermediate value may grow.  This module
+owns the charging rules, shared by every evaluator of both families:
 
 * one step per reference-equation rewrite,
 * one step per fold-generator application (closure entry in the fold forms),
@@ -12,6 +12,15 @@ rules, shared by every evaluator:
 
 ``peak_digits`` is the decimal size of the largest value held at any point
 during the evaluation, inputs included.
+
+Two ways to charge, one protocol.  The fold forms charge a :class:`Meter`
+directly (``spend``, ``note``).  The rewrite machines keep local counters
+and return a status tuple ``(status, value, steps, peak_value)``, status
+:data:`OK`, :data:`TRIP_STEPS` or :data:`TRIP_MAGNITUDE`, which
+:meth:`Meter.settle` folds back into the meter, raising the same trip as
+``spend`` or ``note`` would.  :func:`pow_counted` is the one counted
+exponentiation, in that tuple protocol; the fold forms reach it through
+:func:`checked_pow`, the Conway machine calls it directly.
 """
 
 from __future__ import annotations
@@ -22,6 +31,11 @@ from dataclasses import dataclass
 
 _LOG10_2_NUM = 30103  # log10(2) ~= 30103/100000, used for a first digit guess
 _LOG10_2_DEN = 100000
+
+#: status of a ``(status, value, steps, peak_value)`` tuple
+OK = 0
+TRIP_STEPS = 1
+TRIP_MAGNITUDE = 2
 
 
 @dataclass(frozen=True)
@@ -118,35 +132,53 @@ def count_text(n: int) -> str:
     return str(n) if digits <= 18 else f"a {digits}-digit number of"
 
 
-def _lift_str_digits_cap(need: int) -> None:
-    """Raise the interpreter's int<->str digit cap to at least ``need``.
-
-    A current cap of 0 means no cap, and is left alone.
-    """
-    limit_fn = getattr(sys, "set_int_max_str_digits", None)
-    if limit_fn is not None:
-        current = sys.get_int_max_str_digits()
-        if 0 < current < need:
-            limit_fn(need)
+#: the interpreter's int<->str digit cap, read on every conversion and never
+#: changed (0 means no cap; interpreters that predate the cap have none)
+_str_digits_cap = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 
 def int_to_decimal(value: int) -> str:
-    """Plain decimal rendering, lifting the interpreter's int->str cap."""
-    _lift_str_digits_cap(decimal_digits(value) + 10)
-    return str(value)
+    """Plain decimal rendering of a non-negative integer.
+
+    Values longer than the interpreter's int->str cap are split by powers
+    of ten, divide and conquer, into pieces within it.
+    """
+    cap = _str_digits_cap()
+    return str(value) if cap == 0 else _to_decimal(value, cap)
+
+
+def _to_decimal(value: int, cap: int) -> str:
+    if value < _pow10(cap):
+        return str(value)
+    width = cap
+    while _pow10(2 * width) <= value:
+        width *= 2
+    high, low = divmod(value, _pow10(width))
+    return _to_decimal(high, cap) + _to_decimal(low, cap).zfill(width)
 
 
 def decimal_to_int(text: str) -> int:
-    """Parse a decimal digit run, lifting the interpreter's str->int cap."""
-    _lift_str_digits_cap(len(text) + 10)
-    return int(text)
+    """Parse a decimal digit run, in pieces within the str->int cap."""
+    cap = _str_digits_cap()
+    return int(text) if cap == 0 else _from_decimal(text, cap)
+
+
+def _from_decimal(text: str, cap: int) -> int:
+    if len(text) <= cap:
+        return int(text)
+    width = cap
+    while 2 * width < len(text):
+        width *= 2
+    high = _from_decimal(text[:-width], cap)
+    return high * _pow10(width) + _from_decimal(text[-width:], cap)
 
 
 class Meter:
     """Mutable consumption counter for one evaluation run.
 
-    The hot rewrite machines keep local counters and sync in bulk; the
-    closure-based fold evaluators charge through this object directly.
+    The closure-based fold evaluators charge through this object directly;
+    the hot rewrite machines keep local counters and report through
+    :meth:`settle`.
     """
 
     __slots__ = ("max_steps", "max_digits", "mag_limit", "steps", "peak")
@@ -162,59 +194,91 @@ class Meter:
         steps = self.steps + k
         if steps > self.max_steps:
             self.steps = self.max_steps
-            raise BudgetExceeded(
-                f"step budget exhausted (max_steps={self.max_steps})",
-                self.stats(),
-            )
+            raise self._step_trip()
         self.steps = steps
 
     def note(self, value: int) -> None:
         if value > self.peak:
             self.peak = value
             if value >= self.mag_limit:
-                raise MagnitudeExceeded(
-                    f"value exceeds {self.max_digits} digits "
-                    f"(max_digits={self.max_digits})",
-                    self.stats(),
-                )
+                raise self._magnitude_trip()
+
+    def settle(self, result) -> int:
+        """Fold a ``(status, value, steps, peak_value)`` tuple, started from
+        this meter's steps and peak, back into it; return the value or raise
+        the trip."""
+        status, value, steps, peak = result
+        self.steps = steps
+        if peak > self.peak:
+            self.peak = peak
+        if status == OK:
+            return value
+        if status == TRIP_STEPS:
+            raise self._step_trip()
+        raise self._magnitude_trip()
 
     def stats(self) -> EvalStats:
         return EvalStats(steps_used=self.steps, peak_digits=decimal_digits(self.peak))
 
+    def _step_trip(self) -> BudgetExceeded:
+        return BudgetExceeded(
+            f"step budget exhausted (max_steps={self.max_steps})", self.stats()
+        )
 
-def checked_pow(base: int, exponent: int, meter: Meter) -> int:
+    def _magnitude_trip(self) -> MagnitudeExceeded:
+        return MagnitudeExceeded(
+            f"value exceeds {self.max_digits} digits "
+            f"(max_digits={self.max_digits})",
+            self.stats(),
+        )
+
+
+def pow_counted(base, exponent, max_steps, max_digits, steps, peak):
     """``base ** exponent`` by square-and-multiply, one step per multiply.
 
-    Fails fast with :class:`MagnitudeExceeded` when the digit-count bound
-    ``exponent * digits(base)`` already exceeds the budget, so doomed giants
-    are never allocated.  The bound is exact for bases 0 and 1.
+    Counts from ``steps`` and ``peak`` (a raw value, not digits) and returns
+    ``(status, value, steps, peak)``; a step trip reports ``max_steps``.
+    Fails fast with TRIP_MAGNITUDE, before any multiply, when the digit
+    bound ``exponent * digits(base)`` exceeds ``max_digits``.  Otherwise
+    ``base**exponent < 10**max_digits``, and every intermediate square and
+    product is at most ``base**exponent``, so no magnitude check is needed
+    inside the loop.  The bound is exact for bases 0 and 1, so ``1**huge``
+    never trips.  Operands must be non-negative.
     """
-    if base < 0 or exponent < 0:
-        raise DomainError("checked_pow needs non-negative operands", meter.stats())
     if exponent == 0:
-        meter.note(1)
-        return 1
+        return (OK, 1, steps, max(peak, 1))
     if base <= 1:
-        meter.note(base)
-        return base
-    estimate = exponent * decimal_digits(base)
-    if estimate > meter.max_digits:
-        raise MagnitudeExceeded(
-            f"power would reach up to {count_text(estimate)} digits "
-            f"(max_digits={meter.max_digits})",
-            meter.stats(),
-        )
+        return (OK, base, steps, max(peak, base))
+    if exponent * decimal_digits(base) > max_digits:
+        return (TRIP_MAGNITUDE, 0, steps, peak)
     result = 1
     square = base
     e = exponent
     while True:
         if e & 1:
-            meter.spend()
+            steps += 1
+            if steps > max_steps:
+                return (TRIP_STEPS, 0, max_steps, peak)
             result *= square
-            meter.note(result)
+            if result > peak:
+                peak = result
         e >>= 1
         if e == 0:
-            return result
-        meter.spend()
+            return (OK, result, steps, peak)
+        steps += 1
+        if steps > max_steps:
+            return (TRIP_STEPS, 0, max_steps, peak)
         square *= square
-        meter.note(square)
+        if square > peak:
+            peak = square
+
+
+def checked_pow(base: int, exponent: int, meter: Meter) -> int:
+    """``base ** exponent`` charged to ``meter`` by :func:`pow_counted`."""
+    if base < 0 or exponent < 0:
+        raise DomainError("checked_pow needs non-negative operands", meter.stats())
+    return meter.settle(
+        pow_counted(
+            base, exponent, meter.max_steps, meter.max_digits, meter.steps, meter.peak
+        )
+    )

@@ -28,20 +28,11 @@ import sys
 import threading
 from typing import Callable, Sequence
 
-from ._machines import (
-    OK,
-    TRIP_MAGNITUDE,
-    TRIP_STEPS,
-    ack_machine,
-    conway_machine,
-    knuth_machine,
-)
+from ._machines import ack_machine, conway_machine, knuth_machine
 from .budget import (
     Budget,
-    BudgetExceeded,
     ConstructionLimit,
     DomainError,
-    MagnitudeExceeded,
     Meter,
     checked_pow,
     count_text,
@@ -80,27 +71,6 @@ def _ensure_depth(depth: int, meter: Meter) -> None:
         sys.setrecursionlimit(_RECURSION_CEILING)
 
 
-def _finish_machine(result, meter: Meter) -> int:
-    """Fold a machine status tuple back into the shared meter."""
-    status, value, steps, peak = result
-    meter.steps = steps
-    if peak > meter.peak:
-        meter.peak = peak
-    if status == OK:
-        return value
-    if status == TRIP_STEPS:
-        raise BudgetExceeded(
-            f"step budget exhausted (max_steps={meter.max_steps})", meter.stats()
-        )
-    if status == TRIP_MAGNITUDE:
-        raise MagnitudeExceeded(
-            f"value exceeds {meter.max_digits} digits "
-            f"(max_digits={meter.max_digits})",
-            meter.stats(),
-        )
-    raise AssertionError(f"machine returned unknown status {status}")
-
-
 # ---------------------------------------------------------------------------
 # Ackermann
 # ---------------------------------------------------------------------------
@@ -109,8 +79,9 @@ def _finish_machine(result, meter: Meter) -> int:
 def eval_ack_ref(m: int, n: int, meter: Meter) -> int:
     m = _require_natural("m", m, meter)
     n = _require_natural("n", n, meter)
-    result = ack_machine(m, n, meter.max_steps, meter.mag_limit, meter.steps)
-    return _finish_machine(result, meter)
+    return meter.settle(
+        ack_machine(m, n, meter.max_steps, meter.mag_limit, meter.steps)
+    )
 
 
 def eval_ack_prim(m: int, n: int, meter: Meter) -> int:
@@ -153,10 +124,9 @@ def eval_knuth_ref(a: int, n: int, b: int, meter: Meter) -> int:
     a = _require_natural("a", a, meter)
     n = _require_natural("n", n, meter)
     b = _require_natural("b", b, meter)
-    result = knuth_machine(
-        a, n, b, meter.max_steps, meter.mag_limit, meter.steps
+    return meter.settle(
+        knuth_machine(a, n, b, meter.max_steps, meter.mag_limit, meter.steps)
     )
-    return _finish_machine(result, meter)
 
 
 def eval_knuth_prim(a: int, n: int, b: int, meter: Meter) -> int:
@@ -209,10 +179,11 @@ def _checked_chain(entries: Sequence[int], meter: Meter) -> Chain:
 
 def eval_conway_ref(entries: Sequence[int], meter: Meter) -> int:
     chain = _checked_chain(entries, meter)
-    result = conway_machine(
-        chain, meter.max_steps, meter.mag_limit, meter.max_digits, meter.steps
+    return meter.settle(
+        conway_machine(
+            chain, meter.max_steps, meter.mag_limit, meter.max_digits, meter.steps
+        )
     )
-    return _finish_machine(result, meter)
 
 
 def eval_conway_prim(entries: Sequence[int], meter: Meter) -> int:
@@ -270,12 +241,7 @@ def _conway_layer(o: int, k, meter: Meter):
     # aux o k = foldn aux2 (flip k o)
     def layer(q: int, p: int) -> int:
         meter.spend()
-        if q > CLOSURE_DEPTH_LIMIT:
-            raise ConstructionLimit(
-                f"fold form would nest {count_text(q)} closures "
-                f"(limit {CLOSURE_DEPTH_LIMIT})",
-                meter.stats(),
-            )
+        _ensure_depth(q, meter)
 
         def flip_base(p2: int) -> int:
             meter.spend()
@@ -337,55 +303,60 @@ def recursion_scope():
                 sys.setrecursionlimit(_caller_limit)
 
 
-def _run(fn, *args, budget: Budget):
+def run_budgeted(fn, *args, budget: Budget):
+    """``fn(*args, meter)`` under one fresh meter. Returns (value, stats).
+
+    The one runner of every public evaluation, here and in
+    :mod:`hyperfold.notation`.
+    """
     meter = Meter(budget)
     try:
         with recursion_scope():
             value = fn(*args, meter)
     except RecursionError:
-        # compound closure nesting across layers can overrun the static
+        # compound nesting across layers can overrun the static
         # per-dimension guards; surface it as the same kind of limit
         raise ConstructionLimit(
-            "fold form exceeded the safe closure nesting depth", meter.stats()
+            "evaluation exceeded the safe nesting depth", meter.stats()
         ) from None
     return value, meter.stats()
 
 
 def ack_ref(m: int, n: int, budget: Budget = DEFAULT_BUDGET):
     """Ackermann via the rewrite equations. Returns (value, stats)."""
-    return _run(eval_ack_ref, m, n, budget=budget)
+    return run_budgeted(eval_ack_ref, m, n, budget=budget)
 
 
 def ack_prim(m: int, n: int, budget: Budget = DEFAULT_BUDGET):
     """Ackermann via the nested-fold form. Returns (value, stats)."""
-    return _run(eval_ack_prim, m, n, budget=budget)
+    return run_budgeted(eval_ack_prim, m, n, budget=budget)
 
 
 def knuth_ref(a: int, n: int, b: int, budget: Budget = DEFAULT_BUDGET):
     """a ^(n) b via the rewrite equations (level 0 = a*b)."""
-    return _run(eval_knuth_ref, a, n, b, budget=budget)
+    return run_budgeted(eval_knuth_ref, a, n, b, budget=budget)
 
 
 def knuth_prim(a: int, n: int, b: int, budget: Budget = DEFAULT_BUDGET):
     """a ^(n) b via the nested-fold form."""
-    return _run(eval_knuth_prim, a, n, b, budget=budget)
+    return run_budgeted(eval_knuth_prim, a, n, b, budget=budget)
 
 
 def conway_ref(chain: Sequence[int], budget: Budget = DEFAULT_BUDGET):
     """Chain value via the rewrite equations; chain in written order."""
-    return _run(eval_conway_ref, chain, budget=budget)
+    return run_budgeted(eval_conway_ref, chain, budget=budget)
 
 
 def conway_prim(chain: Sequence[int], budget: Budget = DEFAULT_BUDGET):
     """Chain value via front-end reduction plus the fold-built back end."""
-    return _run(eval_conway_prim, chain, budget=budget)
+    return run_budgeted(eval_conway_prim, chain, budget=budget)
 
 
 def cback_prim(
     reduced_tail: Sequence[int], q: int, p: int, budget: Budget = DEFAULT_BUDGET
 ):
     """The fold-built back end alone, on already reduced+reversed input."""
-    return _run(eval_cback_prim, reduced_tail, q, p, budget=budget)
+    return run_budgeted(eval_cback_prim, reduced_tail, q, p, budget=budget)
 
 
 def cpow(q: int, p: int, budget: Budget = DEFAULT_BUDGET):

@@ -22,15 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Union
 
-from .budget import (
-    Budget,
-    EvalStats,
-    Meter,
-    ConstructionLimit,
-    DomainError,
-    decimal_to_int,
-    int_to_decimal,
-)
+from .budget import Budget, EvalStats, Meter, decimal_to_int, int_to_decimal
 from .hyperops import (
     DEFAULT_BUDGET,
     eval_ack_prim,
@@ -39,7 +31,7 @@ from .hyperops import (
     eval_conway_ref,
     eval_knuth_prim,
     eval_knuth_ref,
-    recursion_scope,
+    run_budgeted,
 )
 
 MAX_LITERAL_DIGITS = 10**5
@@ -156,9 +148,9 @@ def _tokenize(text: str) -> list[_Token]:
             advance(1)
             continue
         pos = here()
-        if ch.isdigit():
+        if ch.isdecimal():
             end = offset
-            while end < size and text[end].isdigit():
+            while end < size and text[end].isdecimal():
                 end += 1
             run = text[offset:end]
             if len(run) > MAX_LITERAL_DIGITS:
@@ -374,25 +366,8 @@ def _eval_node(e: Expr, prim: bool, meter: Meter) -> int:
             return (eval_knuth_prim if prim else eval_knuth_ref)(av, lv, bv, meter)
         case ChainE(items) | ConwayCall(items):
             entries = [_eval_node(item, prim, meter) for item in items]
-            for v in entries:
-                if v < 1:
-                    raise DomainError(
-                        "chain entries must be >= 1", meter.stats()
-                    )
             return (eval_conway_prim if prim else eval_conway_ref)(entries, meter)
     raise TypeError(f"not an expression: {e!r}")
-
-
-def _eval_form(e: Expr, prim: bool, budget: Budget) -> tuple[int, EvalStats]:
-    meter = Meter(budget)
-    try:
-        with recursion_scope():
-            value = _eval_node(e, prim, meter)
-    except RecursionError:
-        raise ConstructionLimit(
-            "evaluation exceeded the safe nesting depth", meter.stats()
-        ) from None
-    return value, meter.stats()
 
 
 def evaluate(
@@ -406,12 +381,10 @@ def evaluate(
     """
     if form not in FORMS:
         raise ValueError(f"form must be one of {FORMS}, got {form!r}")
-    if form == REFERENCE:
-        return _eval_form(e, False, budget)
-    if form == PRIMITIVE:
-        return _eval_form(e, True, budget)
-    ref_value, ref_stats = _eval_form(e, False, budget)
-    prim_value, prim_stats = _eval_form(e, True, budget)
+    if form != BOTH:
+        return run_budgeted(_eval_node, e, form == PRIMITIVE, budget=budget)
+    ref_value, ref_stats = run_budgeted(_eval_node, e, False, budget=budget)
+    prim_value, prim_stats = run_budgeted(_eval_node, e, True, budget=budget)
     if ref_value != prim_value:
         raise MismatchError(ref_value, prim_value)
     return ref_value, ref_stats.combined(prim_stats)

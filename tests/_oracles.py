@@ -4,9 +4,9 @@ Everything here is deliberately naive (memoized recursion straight off the
 equations) and shares no code with the package; expected values in the test
 tables were produced by these before being frozen.  ``count_ack_steps``
 additionally gives the exact number of equation applications the rewrite
-evaluator must account for, and ``ack_literal_machine`` and
-``knuth_literal_machine`` are the unshortcut work-stack rewriters used to pin
-down the production machines' accounting.
+evaluator must account for, and ``ack_literal_machine``,
+``knuth_literal_machine`` and ``conway_literal_machine`` are the unshortcut
+work-stack rewriters used to pin down the production machines' accounting.
 """
 
 from __future__ import annotations
@@ -159,3 +159,96 @@ def knuth_literal_machine(a, n0, b, max_steps, mag_limit, steps0=0):
             push(k - 1)
             push(k)
     return (0, val, steps, peak)
+
+
+def _literal_pow(base, exponent, max_steps, mag_limit, max_digits, steps, peak):
+    """Square-and-multiply, one step per multiply, failing fast when
+    ``exponent * digits(base)`` exceeds ``max_digits`` (exact for base <= 1).
+    Digits are counted with ``str``, so bases past the int->str cap are out
+    of its reach."""
+    if exponent == 0:
+        return (0, 1, steps, peak)
+    if base <= 1:
+        return (0, base, steps, peak)
+    if exponent * len(str(base)) > max_digits:
+        return (2, 0, steps, peak)
+    result = 1
+    square = base
+    e = exponent
+    while True:
+        if e & 1:
+            steps += 1
+            if steps > max_steps:
+                return (1, 0, max_steps, peak)
+            result *= square
+            if result > peak:
+                peak = result
+        e >>= 1
+        if e == 0:
+            return (0, result, steps, peak)
+        steps += 1
+        if steps > max_steps:
+            return (1, 0, max_steps, peak)
+        square *= square
+        if square > peak:
+            peak = square
+
+
+def conway_literal_machine(entries, max_steps, mag_limit, max_digits, steps0=0):
+    """The Conway rewrite machine with a frame per general-rule firing and a
+    magnitude check after every power.  Same signature and status-tuple
+    protocol as the production ``conway_machine``."""
+    steps = steps0
+    peak = 0
+    for e in entries:
+        if e > peak:
+            peak = e
+    if peak >= mag_limit:
+        return (2, 0, steps, peak)
+    rev = tuple(reversed(entries))
+    end = len(rev)
+    if end == 0:
+        steps += 1
+        if steps > max_steps:
+            return (1, 0, max_steps, peak)
+        return (0, 1, steps, 1 if peak < 1 else peak)
+    if end == 1:
+        steps += 1
+        if steps > max_steps:
+            return (1, 0, max_steps, peak)
+        return (0, rev[0], steps, peak)
+    h0, h1, idx = rev[0], rev[1], 2
+    frame_q = []
+    frame_i = []
+    while True:
+        steps += 1
+        if steps > max_steps:
+            return (1, 0, max_steps, peak)
+        if idx == end:
+            # two-element base: reversed [q, p] denotes p^q
+            status, value, steps, peak = _literal_pow(
+                h1, h0, max_steps, mag_limit, max_digits, steps, peak
+            )
+            if status != 0:
+                return (status, 0, steps, peak)
+            if value >= mag_limit:
+                return (2, 0, steps, peak)
+            if not frame_q:
+                return (0, value, steps, peak)
+            h0 = frame_q.pop()
+            idx = frame_i.pop()
+            h1 = value
+        elif h0 == 1:
+            # last written entry is 1: drop it
+            h0 = h1
+            h1 = rev[idx]
+            idx += 1
+        elif h1 == 1:
+            # next-to-last written entry is 1: chain collapses past it
+            h0 = 1
+            h1 = rev[idx]
+            idx += 1
+        else:
+            frame_q.append(h0 - 1)
+            frame_i.append(idx)
+            h1 -= 1

@@ -1,3 +1,6 @@
+import random
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -84,13 +87,25 @@ def test_checked_pow_matches_builtin(base, exponent):
     assert checked_pow(base, exponent, meter) == base**exponent
 
 
+def test_checked_pow_step_trip_mid_loop():
+    # 3**27 by square-and-multiply is 8 multiplies; with 2 steps already
+    # spent and a budget of 6, the 5th multiply (squaring 81) trips, after
+    # result 27 and square 81 were produced
+    meter = Meter(Budget(max_steps=6, max_digits=100))
+    meter.spend(2)
+    with pytest.raises(BudgetExceeded) as trip:
+        checked_pow(3, 27, meter)
+    assert trip.value.stats == EvalStats(steps_used=6, peak_digits=2)
+    assert (meter.steps, meter.peak) == (6, 81)
+
+
 def test_checked_pow_trivial_bases():
-    meter = Meter(Budget(max_steps=100, max_digits=2))
-    # exact digit estimates: no false trip however large the exponent
-    assert checked_pow(1, 10**9, meter) == 1
-    assert checked_pow(0, 10**9, meter) == 0
-    assert checked_pow(7, 0, meter) == 1
-    assert meter.steps == 0  # no multiplications happened
+    # exact digit estimates: no false trip however large the exponent, no
+    # multiplication, and the value produced counts in the peak
+    for base, exponent, value in [(1, 10**9, 1), (0, 10**9, 0), (7, 0, 1), (0, 0, 1)]:
+        meter = Meter(Budget(max_steps=100, max_digits=2))
+        assert checked_pow(base, exponent, meter) == value
+        assert (meter.steps, meter.peak) == (0, value)
 
 
 def test_checked_pow_fails_fast_before_allocating():
@@ -106,6 +121,24 @@ def test_checked_pow_counts_multiplies():
     # square-and-multiply on a 5-bit exponent: a handful of multiplies,
     # never the 26 of naive repeated multiplication
     assert 0 < meter.steps <= 10
+
+
+def test_decimal_conversion_in_pieces_under_the_smallest_cap():
+    rng = random.Random(4)
+    values = [10**k + d for k in (639, 640, 1280, 5000) for d in (-1, 0, 1)]
+    values += [rng.getrandbits(rng.randrange(1, 20_000)) for _ in range(40)]
+    caller_cap = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        texts = [str(v) for v in values]
+        sys.set_int_max_str_digits(640)
+        for value, text in zip(values, texts):
+            assert int_to_decimal(value) == text
+            assert decimal_to_int(text) == value
+            assert decimal_to_int("000" + text) == value
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(caller_cap)
 
 
 def test_decimal_render_and_parse_large():

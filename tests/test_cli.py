@@ -1,9 +1,16 @@
+import contextlib
+import io
 import os
 import subprocess
 import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hyperfold import cli
+from hyperfold.notation import FORMS
 
 CLI = [sys.executable, "-m", "hyperfold.cli"]
 
@@ -85,8 +92,8 @@ def test_magnitude_cap_exits_3():
     ],
 )
 def test_error_message_with_count_past_int_str_cap(text, code, kind, stats):
-    # a fresh process, so no earlier large render has lifted the int->str
-    # cap; a ~20,000-digit count must not be rendered into the message
+    # under the default int->str cap, a ~20,000-digit count must not be
+    # rendered into the message
     proc = run_cli("--form", "primitive", "eval", text)
     assert proc.returncode == code, proc.stderr
     assert proc.stderr.startswith(f"{kind}:")
@@ -162,3 +169,35 @@ def test_big_output_prints_in_full():
     value = proc.stdout.strip()
     assert len(value) == 19729
     assert value.startswith("200352993") and value.endswith("19156736")
+
+
+_NUMBERS = ["0", "1", "2", "3", "4", "10", "255"]
+_OPERATORS = ["->", "^", "^^", "^^^", ","]
+_OPENERS = ["ack(", "knuth(", "conway(", "("]
+_token_soup = st.lists(
+    st.sampled_from(_NUMBERS + _OPERATORS + _OPENERS + [")", " "]), max_size=14
+).map("".join)
+# numbers between operators, maybe inside one call: mostly well formed
+_near_valid = st.builds(
+    lambda opener, first, rest: opener + first + "".join(map("".join, rest))
+    + (")" if opener else ""),
+    st.sampled_from([""] + _OPENERS),
+    st.sampled_from(_NUMBERS),
+    st.lists(st.tuples(st.sampled_from(_OPERATORS), st.sampled_from(_NUMBERS)), max_size=4),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_token_soup, _near_valid))
+def test_token_string_fuzz_ends_in_a_documented_exit_code(text):
+    # every line ends as a value (0), a parse error (2) or a budget (3) or
+    # domain (4) error, in every form, at tiny to moderate budgets, under
+    # the default digit cap and a small one; never a traceback
+    for form in FORMS:
+        for max_steps in (1, 100, 10**4):
+            for max_digits in (10**5, 3):
+                config = cli.Config(form, max_steps, max_digits)
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = cli.run_eval(text, config)
+                assert code in (0, 2, 3, 4), (text, config, err.getvalue())

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _oracles
-from hyperfold._machines import ack_machine, knuth_machine
+from hyperfold._machines import ack_machine, conway_machine, knuth_machine
 from hyperfold.budget import (
     Budget,
     BudgetExceeded,
@@ -369,6 +369,38 @@ def test_cross_hierarchy_identity():
                 assert _oracles.conway((a, b, c)) == want, (a, b, c)
                 assert conway_ref((a, b, c), B)[0] == want, (a, b, c)
                 assert knuth_ref(a, c, b, B)[0] == want, (a, b, c)
+
+
+CONWAY_GRID_CHAINS = [
+    c for ln in range(5) for c in itertools.product(range(1, 5), repeat=ln)
+] + list(itertools.product(range(1, 4), repeat=5))
+CONWAY_GRID_STEPS = (1, 2, 3, 5, 10, 50, 300, 5000)
+
+
+@pytest.mark.parametrize("steps0", [0, 7])
+def test_conway_machine_matches_literal_grid(steps0):
+    # the machine's power is the package's one counted power; the literal
+    # machine keeps its own loop and the magnitude check after it
+    for chain in CONWAY_GRID_CHAINS:
+        for max_steps in CONWAY_GRID_STEPS:
+            for max_digits in KNUTH_GRID_DIGITS:
+                mag = magnitude_limit(max_digits)
+                args = (chain, max_steps, mag, max_digits, steps0)
+                assert conway_machine(*args) == _oracles.conway_literal_machine(
+                    *args
+                ), (chain, max_steps, max_digits, steps0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.one_of(st.integers(1, 5), st.integers(1, 10**4)), max_size=6),
+    st.integers(1, 20_000),
+    st.integers(1, 400),
+    st.integers(0, 50),
+)
+def test_conway_machine_matches_literal_sampled(chain, max_steps, max_digits, steps0):
+    args = (tuple(chain), max_steps, magnitude_limit(max_digits), max_digits, steps0)
+    assert conway_machine(*args) == _oracles.conway_literal_machine(*args)
 
 
 def test_conway_rejects_zero_entries():

@@ -1,9 +1,11 @@
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _oracles
-from hyperfold.budget import Budget, BudgetExceeded, DomainError
+from hyperfold.budget import Budget, BudgetExceeded, DomainError, int_to_decimal
 from hyperfold.notation import (
     Ack,
     ChainE,
@@ -102,6 +104,13 @@ def test_overlong_numeral_rejected_at_lex_time():
     with pytest.raises(ParseError) as exc_info:
         parse("1" * (10**5 + 1))
     assert exc_info.value.pos.offset == 0
+
+
+@pytest.mark.parametrize("text", ["\u00b2", "1\u00b2", "2^^\u00b9"])
+def test_non_decimal_digit_characters_are_parse_errors(text):
+    # superscripts pass str.isdigit but int() refuses them
+    with pytest.raises(ParseError):
+        parse(text)
 
 
 def test_signs_are_not_literals():
@@ -221,3 +230,21 @@ def test_literal_magnitude_checked_by_budget():
     with pytest.raises(Exception) as exc_info:
         evaluate(parse("123456"), "reference", Budget(max_steps=100, max_digits=3))
     assert exc_info.value.__class__.__name__ == "MagnitudeExceeded"
+
+
+def test_big_values_leave_interpreter_limits_unchanged():
+    caller = sys.get_int_max_str_digits(), sys.getrecursionlimit()
+    sys.set_int_max_str_digits(4300)
+    sys.setrecursionlimit(2000)
+    try:
+        value, _ = evaluate(parse("2^^5"), "both", B)
+        text = render(NatLit(value))
+        assert len(text) == 19729 and text.startswith("200352993")
+        literal = "9" * 20_000
+        assert parse(literal) == NatLit(10**20_000 - 1)
+        assert int_to_decimal(evaluate(parse(literal), "both", B)[0]) == literal
+        assert sys.get_int_max_str_digits() == 4300
+        assert sys.getrecursionlimit() == 2000
+    finally:
+        sys.set_int_max_str_digits(caller[0])
+        sys.setrecursionlimit(caller[1])
