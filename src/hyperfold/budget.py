@@ -20,7 +20,10 @@ and return a status tuple ``(status, value, steps, peak_value)``, status
 :meth:`Meter.settle` folds back into the meter, raising the same trip as
 ``spend`` or ``note`` would.  :func:`pow_counted` is the one counted
 exponentiation, in that tuple protocol; the fold forms reach it through
-:func:`checked_pow`, the Conway machine calls it directly.
+:func:`checked_pow`, the Conway machine calls it directly.  A power trips
+before it is computed when ``exponent * digits(base) > max_digits``.  That
+bound overestimates by up to 3.3 times (base 2), so ``2->300000`` (90,309
+digits) is refused under the default cap of 10^5 digits.
 """
 
 from __future__ import annotations

@@ -41,8 +41,8 @@ _ERROR_EXIT_CODES = {
 @dataclass(frozen=True)
 class Config:
     form: str = BOTH
-    max_steps: int = 10**7
-    max_digits: int = 10**5
+    max_steps: int = Budget.max_steps
+    max_digits: int = Budget.max_digits
     quiet: bool = False
 
     def budget(self) -> Budget:
@@ -107,10 +107,6 @@ def run_repl(config: Config) -> int:
         run_eval(line, config)
 
 
-def run_selftest_cmd(level: str, config: Config) -> int:
-    return run_selftest(level, config.budget())
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hyperfold",
@@ -129,14 +125,14 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--max-steps",
         type=_positive_int,
-        default=10**7,
+        default=Budget.max_steps,
         metavar="N",
         help="step budget per evaluation (default 10^7)",
     )
     parser.add_argument(
         "--max-digits",
         type=_positive_int,
-        default=10**5,
+        default=Budget.max_digits,
         metavar="N",
         help="decimal-digit cap on any intermediate value (default 10^5)",
     )
@@ -166,7 +162,7 @@ def main(argv: list[str] | None = None) -> int:
         return run_eval(args.expression, config)
     if args.command == "repl":
         return run_repl(config)
-    return run_selftest_cmd(args.level, config)
+    return run_selftest(args.level, config.budget())
 
 
 if __name__ == "__main__":

@@ -13,6 +13,15 @@ Each function of the hierarchy is implemented twice:
           where aux o k = foldn aux2 (flip k o)
                   where aux2 f = foldn (f . subtract 1) (k 0 o)
 
+  Each is that term, written once: ``eval_ack_prim`` returns
+  ``foldn(layer, succ, m)(n)``, ``eval_knuth_prim`` returns
+  ``foldn(layer, times_a, n)(b)``, and a Conway carrier returns
+  ``foldn(aux2, flip_base, q)(p)``.  One step is charged per application
+  of a generator (``succ``, ``times_a``, ``cpow``) or transformer
+  (``layer``, ``aux``, ``aux2``) and per entry into a closure they build;
+  the ``f . subtract 1`` composition is free.  ``eval_conway_prim`` is the
+  front end and hands its reduced chain to ``eval_cback_prim``.
+
 The two families agree pointwise on every input where both finish within
 budget; that agreement is this package's reason to exist, and the property
 suites hammer it.
@@ -97,22 +106,17 @@ def eval_ack_prim(m: int, n: int, meter: Meter) -> int:
         meter.note(v)
         return v
 
-    h = succ
-    remaining = m
-    while remaining > 0:
-        remaining -= 1
-        meter.spend()  # one application of the closure transformer
-        h = _ack_layer(h, meter)
-    return h(n)
-
-
-def _ack_layer(f: Callable[[int], int], meter: Meter) -> Callable[[int], int]:
-    # \f -> foldn f (f 1)
-    def g(x: int) -> int:
+    def layer(f: Callable[[int], int]) -> Callable[[int], int]:
+        # \f -> foldn f (f 1); one step per application of the transformer
         meter.spend()
-        return foldn(f, f(1), x)
 
-    return g
+        def g(x: int) -> int:
+            meter.spend()
+            return foldn(f, f(1), x)
+
+        return g
+
+    return foldn(layer, succ, m)(n)
 
 
 # ---------------------------------------------------------------------------
@@ -144,22 +148,17 @@ def eval_knuth_prim(a: int, n: int, b: int, meter: Meter) -> int:
         meter.note(v)
         return v
 
-    h = times_a
-    remaining = n
-    while remaining > 0:
-        remaining -= 1
+    def layer(f: Callable[[int], int]) -> Callable[[int], int]:
+        # \f -> foldn f 1
         meter.spend()
-        h = _knuth_layer(h, meter)
-    return h(b)
 
+        def g(x: int) -> int:
+            meter.spend()
+            return foldn(f, 1, x)
 
-def _knuth_layer(f: Callable[[int], int], meter: Meter) -> Callable[[int], int]:
-    # \f -> foldn f 1
-    def g(x: int) -> int:
-        meter.spend()
-        return foldn(f, 1, x)
+        return g
 
-    return g
+    return foldn(layer, times_a, n)(b)
 
 
 # ---------------------------------------------------------------------------
@@ -202,9 +201,7 @@ def eval_conway_prim(entries: Sequence[int], meter: Meter) -> int:
     _ensure_depth(len(chain), meter)
     meter.spend(len(chain))  # the subtract-one pass
     reduced = [e - 1 for e in reversed(chain)]
-    q, p, tail = reduced[0], reduced[1], tuple(reduced[2:])
-    back = _build_cback(tail, meter)
-    return back(q, p)
+    return eval_cback_prim(tuple(reduced[2:]), reduced[0], reduced[1], meter)
 
 
 def eval_cback_prim(
@@ -219,55 +216,50 @@ def eval_cback_prim(
     meter.note(q)
     meter.note(p)
     _ensure_depth(len(tail) + 2, meter)
-    back = _build_cback(tail, meter)
-    return back(q, p)
 
-
-def _build_cback(tail: Chain, meter: Meter):
     # foldr aux cpow over the reduced, reversed tail; carriers are binary
     # functions (q, p) -> value
     def cpow_fn(q: int, p: int) -> int:
         meter.spend()
         return checked_pow(p + 1, q + 1, meter)
 
-    def aux(o: int, k) -> Callable[[int, int], int]:
+    def aux(o: int, k: Callable[[int, int], int]) -> Callable[[int, int], int]:
+        # aux o k = foldn aux2 (flip k o)
         meter.spend()
-        return _conway_layer(o, k, meter)
 
-    return foldr_seq(aux, cpow_fn, tail)
-
-
-def _conway_layer(o: int, k, meter: Meter):
-    # aux o k = foldn aux2 (flip k o)
-    def layer(q: int, p: int) -> int:
-        meter.spend()
-        _ensure_depth(q, meter)
-
-        def flip_base(p2: int) -> int:
+        def flip_base(p: int) -> int:
             meter.spend()
-            return k(p2, o)
+            return k(p, o)
 
-        g = flip_base
-        remaining = q
-        while remaining > 0:
-            remaining -= 1
+        def aux2(f: Callable[[int], int]) -> Callable[[int], int]:
+            # aux2 f = foldn (f . subtract 1) (k 0 o)
             meter.spend()
-            g = _conway_inner(g, k, o, meter)
-        return g(p)
 
-    return layer
+            def f_pred(v: int) -> int:
+                return f(v - 1)
+
+            def h(p: int) -> int:
+                meter.spend()
+                return foldn(f_pred, k(0, o), p)
+
+            return h
+
+        def carrier(q: int, p: int) -> int:
+            meter.spend()
+            _ensure_depth(q, meter)
+            return foldn(aux2, flip_base, q)(p)
+
+        return carrier
+
+    return foldr_seq(aux, cpow_fn, tail)(q, p)
 
 
-def _conway_inner(f: Callable[[int], int], k, o: int, meter: Meter):
-    # aux2 f = foldn (f . subtract 1) (k 0 o)
-    def f_pred(v: int) -> int:
-        return f(v - 1)
-
-    def h(p: int) -> int:
-        meter.spend()
-        return foldn(f_pred, k(0, o), p)
-
-    return h
+def eval_cpow(q: int, p: int, meter: Meter) -> int:
+    q = _require_natural("q", q, meter)
+    p = _require_natural("p", p, meter)
+    meter.note(q)
+    meter.note(p)
+    return checked_pow(p + 1, q + 1, meter)
 
 
 # ---------------------------------------------------------------------------
@@ -361,10 +353,4 @@ def cback_prim(
 
 def cpow(q: int, p: int, budget: Budget = DEFAULT_BUDGET):
     """(p+1) ** (q+1), budget-counted. Returns (value, stats)."""
-    meter = Meter(budget)
-    q = _require_natural("q", q, meter)
-    p = _require_natural("p", p, meter)
-    meter.note(q)
-    meter.note(p)
-    value = checked_pow(p + 1, q + 1, meter)
-    return value, meter.stats()
+    return run_budgeted(eval_cpow, q, p, budget=budget)

@@ -119,82 +119,60 @@ Expr = Union[NatLit, Ack, Knuth, ChainE, ConwayCall]
 class _Token(NamedTuple):
     kind: str  # NUMBER NAME ARROW CARETS LPAREN RPAREN COMMA EOF
     text: str
-    pos: SourcePos
+    offset: int
+
+
+_PUNCTUATION = {"(": "LPAREN", ")": "RPAREN", ",": "COMMA"}
+
+
+def _error(text: str, offset: int, message: str, expected) -> ParseError:
+    """A ParseError at ``offset``; its line and column are counted only here."""
+    line = text.count("\n", 0, offset) + 1
+    column = offset - text.rfind("\n", 0, offset)
+    return ParseError(message, SourcePos(offset, line, column), frozenset(expected))
 
 
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
     offset = 0
-    line = 1
-    col = 1
     size = len(text)
-
-    def here() -> SourcePos:
-        return SourcePos(offset, line, col)
-
-    def advance(k: int) -> None:
-        nonlocal offset, line, col
-        for _ in range(k):
-            if text[offset] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            offset += 1
-
     while offset < size:
         ch = text[offset]
         if ch in " \t\r\n":
-            advance(1)
+            offset += 1
             continue
-        pos = here()
+        end = offset + 1
         if ch.isdecimal():
-            end = offset
             while end < size and text[end].isdecimal():
                 end += 1
-            run = text[offset:end]
-            if len(run) > MAX_LITERAL_DIGITS:
-                raise ParseError(
+            if end - offset > MAX_LITERAL_DIGITS:
+                raise _error(
+                    text,
+                    offset,
                     f"numeral longer than {MAX_LITERAL_DIGITS} digits",
-                    pos,
-                    frozenset({"shorter numeral"}),
+                    {"shorter numeral"},
                 )
-            tokens.append(_Token("NUMBER", run, pos))
-            advance(end - offset)
+            kind = "NUMBER"
         elif ch.isalpha() or ch == "_":
-            end = offset
             while end < size and (text[end].isalnum() or text[end] == "_"):
                 end += 1
-            tokens.append(_Token("NAME", text[offset:end], pos))
-            advance(end - offset)
+            kind = "NAME"
         elif ch == "-":
-            if offset + 1 < size and text[offset + 1] == ">":
-                tokens.append(_Token("ARROW", "->", pos))
-                advance(2)
-            else:
-                raise ParseError(
-                    "stray '-' (did you mean '->'?)", pos, frozenset({"'->'"})
-                )
+            if not text.startswith(">", end):
+                raise _error(text, offset, "stray '-' (did you mean '->'?)", {"'->'"})
+            end += 1
+            kind = "ARROW"
         elif ch == "^":
-            end = offset
             while end < size and text[end] == "^":
                 end += 1
-            tokens.append(_Token("CARETS", text[offset:end], pos))
-            advance(end - offset)
-        elif ch == "(":
-            tokens.append(_Token("LPAREN", ch, pos))
-            advance(1)
-        elif ch == ")":
-            tokens.append(_Token("RPAREN", ch, pos))
-            advance(1)
-        elif ch == ",":
-            tokens.append(_Token("COMMA", ch, pos))
-            advance(1)
+            kind = "CARETS"
+        elif ch in _PUNCTUATION:
+            kind = _PUNCTUATION[ch]
         else:
-            raise ParseError(
-                f"unexpected character {ch!r}", pos, frozenset({"expression"})
-            )
-    tokens.append(_Token("EOF", "", here()))
+            raise _error(text, offset, f"unexpected character {ch!r}", {"expression"})
+        tokens.append(_Token(kind, text[offset:end], offset))
+        offset = end
+    tokens.append(_Token("EOF", "", offset))
     return tokens
 
 
@@ -204,8 +182,9 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = _tokenize(text)
         self.i = 0
         self.depth = 0
 
@@ -220,10 +199,11 @@ class _Parser:
     def fail(self, expected: set[str]) -> ParseError:
         tok = self.peek()
         what = "end of input" if tok.kind == "EOF" else repr(tok.text)
-        return ParseError(
+        return _error(
+            self.text,
+            tok.offset,
             f"expected {' or '.join(sorted(expected))}, found {what}",
-            tok.pos,
-            frozenset(expected),
+            expected,
         )
 
     def expect(self, kind: str, expected: set[str]) -> _Token:
@@ -234,10 +214,11 @@ class _Parser:
     def expr(self) -> Expr:
         self.depth += 1
         if self.depth > MAX_NESTING:
-            raise ParseError(
+            raise _error(
+                self.text,
+                self.peek().offset,
                 f"nesting deeper than {MAX_NESTING}",
-                self.peek().pos,
-                frozenset({"shallower expression"}),
+                {"shallower expression"},
             )
         try:
             if self.peek().kind == "NAME":
@@ -254,10 +235,11 @@ class _Parser:
                 carets = self.take()
                 rhs = self.atom()
                 if self.peek().kind == "CARETS":
-                    raise ParseError(
+                    raise _error(
+                        self.text,
+                        self.peek().offset,
                         "caret arrows do not chain; parenthesize to nest",
-                        self.peek().pos,
-                        frozenset({"end of expression"}),
+                        {"end of expression"},
                     )
                 return Knuth(first, NatLit(len(carets.text)), rhs)
             return first
@@ -279,10 +261,11 @@ class _Parser:
     def call(self) -> Expr:
         name = self.take()
         if name.text not in ("ack", "knuth", "conway"):
-            raise ParseError(
+            raise _error(
+                self.text,
+                name.offset,
                 f"unknown function {name.text!r}",
-                name.pos,
-                frozenset({"'ack'", "'knuth'", "'conway'"}),
+                {"'ack'", "'knuth'", "'conway'"},
             )
         self.expect("LPAREN", {"'('"})
         if name.text == "conway":
@@ -308,7 +291,7 @@ class _Parser:
 
 def parse(text: str) -> Expr:
     """Parse one expression; the whole input must be consumed."""
-    parser = _Parser(_tokenize(text))
+    parser = _Parser(text)
     node = parser.expr()
     if parser.peek().kind != "EOF":
         raise parser.fail({"end of input"})

@@ -14,8 +14,9 @@ an independent naive-recursion oracle.
 
 from __future__ import annotations
 
+import itertools
 import random
-from typing import Callable, Iterable
+from typing import Callable
 
 from . import notation
 from .budget import Budget, BudgetExceeded, HyperError, MagnitudeExceeded
@@ -324,9 +325,7 @@ def _full_checks(s: _Suite, budget: Budget) -> None:
         table_budget = Budget(
             max_steps=min(b.max_steps, 10**6), max_digits=b.max_digits
         )
-        chains: list[tuple[int, ...]] = [()]
-        for ln in (1, 2, 3):
-            chains.extend(_chains_of(ln, (1, 2, 3)))
+        chains = [c for ln in range(4) for c in itertools.product((1, 2, 3), repeat=ln)]
         chains.extend([(2, 2, 2, 2), (4, 1, 5)])
         for chain in chains:
             _agree(
@@ -363,8 +362,9 @@ def _full_checks(s: _Suite, budget: Budget) -> None:
         table_budget = Budget(
             max_steps=min(b.max_steps, 10**6), max_digits=b.max_digits
         )
-        prefixes: list[tuple[int, ...]] = [()]
-        prefixes += _chains_of(1, (1, 2, 3)) + _chains_of(2, (1, 2, 3))
+        prefixes = [
+            c for ln in range(3) for c in itertools.product((1, 2, 3), repeat=ln)
+        ]
         for x in prefixes:
             for p in (1, 2, 3):
                 _agree(
@@ -440,14 +440,6 @@ def _full_checks(s: _Suite, budget: Budget) -> None:
                 assert ack_prim(m + 2, n, b)[0] == rhs, (m, n)
 
     s.check("ack/knuth bridge identity", bridge_identity)
-
-
-def _chains_of(length: int, entries: Iterable[int]) -> list[tuple[int, ...]]:
-    pool = list(entries)
-    chains: list[tuple[int, ...]] = [()]
-    for _ in range(length):
-        chains = [c + (e,) for c in chains for e in pool]
-    return chains
 
 
 def run_selftest(

@@ -14,6 +14,7 @@ from hyperfold.budget import (
     BudgetExceeded,
     ConstructionLimit,
     DomainError,
+    HyperError,
     MagnitudeExceeded,
     magnitude_limit,
 )
@@ -469,6 +470,102 @@ def test_stats_respect_budget_invariants():
         assert stats.steps_used <= B.max_steps
         assert stats.peak_digits <= B.max_digits
         assert value >= 0
+
+
+def _prim(text, budget):
+    return evaluate(parse(text), "primitive", budget)
+
+
+#: (call, arguments, budget, (value or trip, steps_used, peak_digits)): the
+#: exact accounting of the fold forms, which a rewrite of them must keep; the
+#: first twelve are the benchmark's fold_towers items (benchmark/record.json)
+PRIMITIVE_ACCOUNTING = [
+    (_prim, ("ack(3,5)",), B, (253, 21346, 3)),
+    (_prim, ("ack(3,6)",), B, (509, 86371, 3)),
+    (_prim, ("ack(3,7)",), B, (1021, 347492, 4)),
+    (_prim, ("ack(3,8)",), B, (2045, 1394021, 4)),
+    (_prim, ("ack(4,1)",), Budget(max_steps=10**5), (BudgetExceeded, 10**5, 3)),
+    (_prim, ("ack(4,1)",), Budget(max_steps=3 * 10**5), (BudgetExceeded, 3 * 10**5, 3)),
+    (_prim, ("knuth(2,2,5)",), B, (2**65536, 65567, 19729)),
+    (_prim, ("knuth(3,2,3)",), B, (7625597484987, 37, 13)),
+    (_prim, ("3->3->2",), B, (7625597484987, 24, 13)),
+    (_prim, ("2->3->2",), B, (16, 18, 2)),
+    (_prim, ("2->4->2",), B, (65536, 25, 5)),
+    (_prim, ("3->2->2",), B, (27, 14, 2)),
+    # cpow charges its multiplies only, never a generator step
+    (cpow, (0, 0), B, (1, 0, 1)),
+    (cpow, (2, 1), B, (8, 3, 1)),
+    (cpow, (1, 2), B, (9, 2, 1)),
+    (cpow, (40, 40), B, (41**41, 8, 67)),
+    (cpow, (99999, 1), B, (2**100000, 22, 30103)),
+    (cpow, (10**5, 1), B, (MagnitudeExceeded, 0, 6)),
+    (cpow, (40, 40), Budget(max_steps=5), (BudgetExceeded, 5, 15)),
+    (cpow, (3, 2), Budget(max_steps=10, max_digits=1), (MagnitudeExceeded, 0, 1)),
+    (cback_prim, ((), 0, 0), B, (1, 1, 1)),
+    (cback_prim, ((), 2, 1), B, (8, 4, 1)),
+    (cback_prim, ((1,), 1, 1), B, (4, 10, 1)),
+    (cback_prim, ((1, 1), 1, 1), B, (4, 28, 1)),
+    (cback_prim, ((0, 2), 1, 2), B, (3, 23, 1)),
+    (cback_prim, ((2,), 2, 1), B, (7625597484987, 25, 13)),
+    (cback_prim, ((1, 1, 1), 2, 1), Budget(max_steps=10**4), (4, 621, 1)),
+    (cback_prim, ((1,), 1, 1), Budget(max_steps=5), (BudgetExceeded, 5, 1)),
+    (cback_prim, ((2,), 2, 2), B, (MagnitudeExceeded, 45, 13)),
+    (
+        cback_prim,
+        ((1,), 2, 2),
+        Budget(max_steps=10**7, max_digits=5),
+        (MagnitudeExceeded, 28, 2),
+    ),
+    # the depth guard comes before the subtract-one pass is charged
+    (conway_prim, ((2,) * 1201,), Budget(max_steps=10), (ConstructionLimit, 0, 1)),
+]
+
+
+@pytest.mark.parametrize(
+    "fn, args, budget, want",
+    PRIMITIVE_ACCOUNTING,
+    ids=[f"{fn.__name__}{args!r:.40}" for fn, args, _, _ in PRIMITIVE_ACCOUNTING],
+)
+def test_primitive_accounting_is_exact(fn, args, budget, want):
+    try:
+        value, stats = fn(*args, budget)
+    except HyperError as exc:
+        value, stats = type(exc), exc.stats
+    assert (value, stats.steps_used, stats.peak_digits) == want
+
+
+#: one deep call of every public evaluator; every fold form raises the
+#: recursion limit while it runs
+DEEP_CALLS = [
+    (ack_ref, (4, 1)),
+    (ack_prim, (1100, 0)),
+    (knuth_ref, (3, 3, 3)),
+    (knuth_prim, (2, 1100, 1)),
+    (conway_ref, ((3, 3, 3),)),
+    (conway_prim, ((2,) * 1100,)),
+    (cback_prim, ((1,) * 1100, 1, 1)),
+    (cpow, (99999, 1)),
+]
+
+
+@pytest.mark.parametrize(
+    "fn, args", DEEP_CALLS, ids=[fn.__name__ for fn, _ in DEEP_CALLS]
+)
+def test_public_evaluators_leave_interpreter_limits_unchanged(fn, args):
+    caller_limit = sys.getrecursionlimit()
+    caller_cap = sys.get_int_max_str_digits()
+    sys.setrecursionlimit(2000)
+    sys.set_int_max_str_digits(4300)
+    try:
+        try:
+            fn(*args, Budget(max_steps=10**5))
+        except HyperError:
+            pass
+        assert sys.getrecursionlimit() == 2000
+        assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(caller_cap)
+        sys.setrecursionlimit(caller_limit)
 
 
 def test_cback_longer_tails_match_front_end_reduction():
