@@ -12,9 +12,7 @@ or method calls in the hot path.
 
 from __future__ import annotations
 
-from math import log
-
-from .budget import OK, TRIP_MAGNITUDE, TRIP_STEPS, pow_counted
+from .budget import OK, TRIP_MAGNITUDE, TRIP_STEPS, mul_run, pow_counted
 
 
 def ack_machine(m0, n0, max_steps, mag_limit, steps0=0):
@@ -92,12 +90,9 @@ def knuth_machine(a, n0, b, max_steps, mag_limit, steps0=0):
     * descent: a level-k >= 1 frame at ``val = v`` is the next v+1
       applications; it is charged v+1 steps at once, pushes the run
       ``(k-1, v)`` (nothing when v = 0) and sets ``val = 1``;
-    * multiply run: a run of c level-0 frames is ``val * a**c`` in c steps.
-      When it can grow (a >= 2, val >= 1) its magnitude trip point, the
-      first j with ``val * a**j >= mag_limit``, is found in closed form
-      (:func:`_first_reaching`) and compared against the step headroom: a
-      magnitude trip reports ``steps + j`` and ``val * a**j``, a step trip
-      reports ``max_steps`` with ``val * a**headroom`` counted in the peak.
+    * multiply run: a run of c level-0 frames is ``val * a**c`` in c steps,
+      one :func:`~hyperfold.budget.mul_run` call, which finds its trip
+      point in closed form, as the fold form's innermost fold does.
 
     Run levels strictly decrease from the bottom of the stack to the top
     (a pop leaves a level >= k on top and the descent pushes k-1), so a
@@ -111,27 +106,17 @@ def knuth_machine(a, n0, b, max_steps, mag_limit, steps0=0):
     peak = max(a, n0, b)
     if peak >= mag_limit:
         return (TRIP_MAGNITUDE, 0, steps, peak)
-    grows = a >= 2
     levels = [n0]
     counts = [1]
     while levels:
         k = levels[-1]
         if k == 0:
             levels.pop()
-            c = counts.pop()
-            headroom = max_steps - steps
-            if grows and val and headroom > 0:
-                j, v = _first_reaching(val, a, mag_limit, min(c, headroom))
-                if j:
-                    return (TRIP_MAGNITUDE, 0, steps + j, v)
-                val = v
-                if v > peak:
-                    peak = v
-            elif a == 0:
-                val = 0
-            if c > headroom:
-                return (TRIP_STEPS, 0, max_steps, peak)
-            steps += c
+            status, val, steps, peak = mul_run(
+                val, a, counts.pop(), max_steps, mag_limit, steps, peak
+            )
+            if status != OK:
+                return (status, 0, steps, peak)
             continue
         c = counts[-1]
         if c == 1:
@@ -147,33 +132,6 @@ def knuth_machine(a, n0, b, max_steps, mag_limit, steps0=0):
             counts.append(val)
         val = 1  # never a new peak: peak >= n0 >= k >= 1
     return (OK, val, steps, peak)
-
-
-def _first_reaching(val, a, limit, most):
-    """The first j in 1..most with ``val * a**j >= limit``, and that value.
-
-    Needs a >= 2, 1 <= val < limit and most >= 1.  Returns ``(j, val *
-    a**j)``, or ``(0, val * a**most)`` when no such j exists.  A float
-    estimate of j is corrected by exact integer comparisons, so no value
-    much larger than ``limit * a`` is ever built.
-    """
-    estimate = (log(limit) - log(val)) / log(a)
-    j = most if estimate >= most else max(1, int(estimate))
-    v = val * a**j
-    if v >= limit:
-        while j > 1:
-            smaller = v // a
-            if smaller < limit:
-                break
-            v = smaller
-            j -= 1
-        return (j, v)
-    while j < most:
-        v *= a
-        j += 1
-        if v >= limit:
-            return (j, v)
-    return (0, v)
 
 
 def conway_machine(entries, max_steps, mag_limit, max_digits, steps0=0):

@@ -24,6 +24,13 @@ exponentiation, in that tuple protocol; the fold forms reach it through
 before it is computed when ``exponent * digits(base) > max_digits``.  That
 bound overestimates by up to 3.3 times (base 2), so ``2->300000`` (90,309
 digits) is refused under the default cap of 10^5 digits.
+
+:func:`mul_run` is the one counted multiply run, ``val * a**count`` charged
+one step per multiply, in the same protocol: the Knuth machine's level-0
+runs and the fold form's innermost ``foldn (a*) 1 x`` both call it.  Unlike
+a power, a run trips exactly where its multiplies one at a time would: on
+the first product that reaches the digit cap, or on the first multiply past
+the step budget.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ from __future__ import annotations
 import functools
 import sys
 from dataclasses import dataclass
+from math import log
 
 _LOG10_2_NUM = 30103  # log10(2) ~= 30103/100000, used for a first digit guess
 _LOG10_2_DEN = 100000
@@ -49,10 +57,12 @@ class Budget:
     max_digits: int = 10**5
 
     def __post_init__(self):
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be >= 1")
-        if self.max_digits < 1:
-            raise ValueError("max_digits must be >= 1")
+        for name in ("max_steps", "max_digits"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise TypeError(f"{name} must be an int, got {value!r}")
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -285,3 +295,56 @@ def checked_pow(base: int, exponent: int, meter: Meter) -> int:
             base, exponent, meter.max_steps, meter.max_digits, meter.steps, meter.peak
         )
     )
+
+
+def mul_run(val, a, count, max_steps, mag_limit, steps, peak):
+    """``val * a**count`` by ``count`` multiplies by ``a``, one step each.
+
+    Counts from ``steps`` and ``peak`` (a raw value, not digits), needs
+    non-negative operands and ``val <= peak < mag_limit``, and returns
+    ``(status, value, steps, peak)``, exactly as the multiplies run one at a
+    time would.  A magnitude trip reports ``steps + j`` and the first product
+    ``val * a**j >= mag_limit``; a step trip reports ``max_steps``, with
+    ``val * a**headroom`` counted in the peak.  Products of ``a`` in {0, 1},
+    or of ``val = 0``, never exceed the peak; only a growing run looks for
+    its trip point, in closed form (:func:`_first_reaching`).
+    """
+    headroom = max_steps - steps
+    if a >= 2 and val and count and headroom > 0:
+        j, val = _first_reaching(val, a, mag_limit, min(count, headroom))
+        if j:
+            return (TRIP_MAGNITUDE, 0, steps + j, val)
+        if val > peak:
+            peak = val
+    elif a == 0 and count:
+        val = 0
+    if count > headroom:
+        return (TRIP_STEPS, 0, max_steps, peak)
+    return (OK, val, steps + count, peak)
+
+
+def _first_reaching(val, a, limit, most):
+    """The first j in 1..most with ``val * a**j >= limit``, and that value.
+
+    Needs a >= 2, 1 <= val < limit and most >= 1.  Returns ``(j, val *
+    a**j)``, or ``(0, val * a**most)`` when no such j exists.  A float
+    estimate of j is corrected by exact integer comparisons, so no value
+    much larger than ``limit * a`` is ever built.
+    """
+    estimate = (log(limit) - log(val)) / log(a)
+    j = most if estimate >= most else max(1, int(estimate))
+    v = val * a**j
+    if v >= limit:
+        while j > 1:
+            smaller = v // a
+            if smaller < limit:
+                break
+            v = smaller
+            j -= 1
+        return (j, v)
+    while j < most:
+        v *= a
+        j += 1
+        if v >= limit:
+            return (j, v)
+    return (0, v)

@@ -21,7 +21,6 @@ from .budget import (
     int_to_decimal,
 )
 from .notation import BOTH, FORMS, MismatchError, ParseError, evaluate, parse
-from .selftest import FULL, QUICK, run_selftest
 
 EXIT_OK = 0
 EXIT_SELFTEST = 1
@@ -144,8 +143,10 @@ def _build_parser() -> argparse.ArgumentParser:
     cmd_eval.add_argument("expression", help="e.g. '3->3->2', 'ack(3,3)', '2^^4'")
     commands.add_parser("repl", help="read one expression per line")
     cmd_self = commands.add_parser("selftest", help="run the built-in suites")
+    # the selftest levels, spelled out so that only the selftest command
+    # imports the suites
     cmd_self.add_argument(
-        "level", nargs="?", choices=[QUICK, FULL], default=QUICK
+        "level", nargs="?", choices=["quick", "full"], default="quick"
     )
     return parser
 
@@ -162,6 +163,8 @@ def main(argv: list[str] | None = None) -> int:
         return run_eval(args.expression, config)
     if args.command == "repl":
         return run_repl(config)
+    from .selftest import run_selftest
+
     return run_selftest(args.level, config.budget())
 
 

@@ -19,8 +19,12 @@ Each function of the hierarchy is implemented twice:
   ``foldn(aux2, flip_base, q)(p)``.  One step is charged per application
   of a generator (``succ``, ``times_a``, ``cpow``) or transformer
   (``layer``, ``aux``, ``aux2``) and per entry into a closure they build;
-  the ``f . subtract 1`` composition is free.  ``eval_conway_prim`` is the
-  front end and hands its reduced chain to ``eval_cback_prim``.
+  the ``f . subtract 1`` composition is free.  The innermost Knuth fold,
+  ``foldn (a*) 1 x = a^x``, is charged as one run of x multiplies
+  (:func:`~hyperfold.budget.mul_run`): x steps, the same peak and the same
+  trip point as x entries into ``times_a``, without the x closure calls.
+  ``eval_conway_prim`` is the front end and hands its reduced chain to
+  ``eval_cback_prim``.
 
 The two families agree pointwise on every input where both finish within
 budget; that agreement is this package's reason to exist, and the property
@@ -45,6 +49,7 @@ from .budget import (
     Meter,
     checked_pow,
     count_text,
+    mul_run,
 )
 from .folds import foldn, foldr_seq
 
@@ -148,9 +153,19 @@ def eval_knuth_prim(a: int, n: int, b: int, meter: Meter) -> int:
         meter.note(v)
         return v
 
+    def power(x: int) -> int:
+        # layer(times_a) = \x -> foldn (a*) 1 x = a^x: one counted run of
+        # x multiplies
+        meter.spend()
+        return meter.settle(
+            mul_run(1, a, x, meter.max_steps, meter.mag_limit, meter.steps, meter.peak)
+        )
+
     def layer(f: Callable[[int], int]) -> Callable[[int], int]:
         # \f -> foldn f 1
         meter.spend()
+        if f is times_a:
+            return power
 
         def g(x: int) -> int:
             meter.spend()

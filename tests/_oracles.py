@@ -7,6 +7,9 @@ additionally gives the exact number of equation applications the rewrite
 evaluator must account for, and ``ack_literal_machine``,
 ``knuth_literal_machine`` and ``conway_literal_machine`` are the unshortcut
 work-stack rewriters used to pin down the production machines' accounting.
+``knuth_literal_prim`` is the fold form with no shortcut at all, one closure
+entry per multiply; it meters the package's own ``Meter``, so its trips,
+messages and stats compare exactly with ``knuth_prim``'s.
 """
 
 from __future__ import annotations
@@ -14,6 +17,11 @@ from __future__ import annotations
 import sys
 import threading
 from functools import lru_cache
+from typing import Callable
+
+from hyperfold.budget import Meter
+from hyperfold.folds import foldn
+from hyperfold.hyperops import _ensure_depth, _require_natural
 
 STACK_BYTES = 512 * 1024 * 1024
 RECURSION_LIMIT = 500_000
@@ -252,3 +260,34 @@ def conway_literal_machine(entries, max_steps, mag_limit, max_digits, steps0=0):
             frame_q.append(h0 - 1)
             frame_i.append(idx)
             h1 -= 1
+
+
+def knuth_literal_prim(a: int, n: int, b: int, meter: Meter) -> int:
+    """``foldn (\\f -> foldn f 1) (a*) n b`` with every multiply its own
+    closure entry.  Same evaluator signature as ``eval_knuth_prim``; run it
+    with ``run_budgeted``."""
+    a = _require_natural("a", a, meter)
+    n = _require_natural("n", n, meter)
+    b = _require_natural("b", b, meter)
+    meter.note(a)
+    meter.note(b)
+    meter.note(n)
+    _ensure_depth(n, meter)
+
+    def times_a(x: int) -> int:
+        meter.spend()
+        v = a * x
+        meter.note(v)
+        return v
+
+    def layer(f: Callable[[int], int]) -> Callable[[int], int]:
+        # \f -> foldn f 1
+        meter.spend()
+
+        def g(x: int) -> int:
+            meter.spend()
+            return foldn(f, 1, x)
+
+        return g
+
+    return foldn(layer, times_a, n)(b)

@@ -1,3 +1,4 @@
+import itertools
 import random
 import sys
 
@@ -7,6 +8,9 @@ from hypothesis import strategies as st
 
 from hyperfold import budget
 from hyperfold.budget import (
+    OK,
+    TRIP_MAGNITUDE,
+    TRIP_STEPS,
     Budget,
     BudgetExceeded,
     EvalStats,
@@ -17,6 +21,7 @@ from hyperfold.budget import (
     decimal_to_int,
     int_to_decimal,
     magnitude_limit,
+    mul_run,
 )
 from hyperfold.hyperops import knuth_ref
 
@@ -29,6 +34,23 @@ def test_budget_defaults_and_validation():
         Budget(max_steps=0)
     with pytest.raises(ValueError):
         Budget(max_digits=0)
+
+
+@pytest.mark.parametrize(
+    "limits",
+    [
+        {"max_digits": 1e5},
+        {"max_digits": 2.5},
+        {"max_steps": True},
+        {"max_digits": False},
+        {"max_steps": "10"},
+        {"max_steps": None},
+    ],
+)
+def test_budget_rejects_non_integer_limits(limits):
+    # a float cap used to reach Meter() and fail there with OverflowError
+    with pytest.raises(TypeError, match=next(iter(limits))):
+        Budget(**limits)
 
 
 @settings(max_examples=200)
@@ -121,6 +143,37 @@ def test_checked_pow_counts_multiplies():
     # square-and-multiply on a 5-bit exponent: a handful of multiplies,
     # never the 26 of naive repeated multiplication
     assert 0 < meter.steps <= 10
+
+
+def _plain_mul_run(val, a, count, max_steps, mag_limit, steps, peak):
+    """The multiplies one at a time, each charged and noted."""
+    for _ in range(count):
+        steps += 1
+        if steps > max_steps:
+            return (TRIP_STEPS, 0, max_steps, peak)
+        val *= a
+        if val > peak:
+            peak = val
+            if val >= mag_limit:
+                return (TRIP_MAGNITUDE, 0, steps, peak)
+    return (OK, val, steps, peak)
+
+
+def test_mul_run_matches_plain_loop():
+    cases = 0
+    for max_digits in (1, 2, 4, 12):
+        mag = magnitude_limit(max_digits)
+        for a, val, count, max_steps, steps, extra in itertools.product(
+            (0, 1, 2, 3, 10), range(4), range(41), (1, 2, 3, 5, 10, 50), (0, 1), (0, 6)
+        ):
+            if steps > max_steps:
+                continue
+            peak = val + extra  # the run needs val <= peak < mag_limit
+            args = (val, a, count, max_steps, mag, steps, peak)
+            want = _plain_mul_run(*args)
+            assert mul_run(*args) == want, args
+            cases += 1
+    assert cases == 78_720
 
 
 def test_decimal_conversion_in_pieces_under_the_smallest_cap():

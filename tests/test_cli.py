@@ -133,6 +133,35 @@ def test_repl_unknown_colon_command():
     assert "unknown command" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "text, stats",
+    [
+        ("knuth(2,3,4)", "steps=397800 peak_digits=100001"),
+        ("3^^^3", "steps=209669 peak_digits=100001"),
+    ],
+)
+def test_primitive_multiply_runs_trip_within_a_second(text, stats):
+    # the innermost fold of the Knuth form is one counted multiply run; one
+    # closure entry per multiply took 2.4-5.7 s for these trips
+    start = time.perf_counter()
+    proc = run_cli("--form", "primitive", "eval", text)
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("magnitude:")
+    assert stats in proc.stderr.splitlines()
+    assert elapsed < 1.0, f"{text} took {elapsed:.2f} s"
+
+
+def test_cli_imports_the_selftest_suites_only_for_selftest():
+    probe = "import sys, hyperfold.cli; print('hyperfold.selftest' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+    assert run_cli("selftest", "quick").returncode == 0
+
+
 def test_selftest_quick_passes_within_a_second():
     start = time.perf_counter()
     proc = run_cli("selftest", "quick")

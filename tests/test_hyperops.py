@@ -25,8 +25,10 @@ from hyperfold.hyperops import (
     conway_prim,
     conway_ref,
     cpow,
+    eval_knuth_prim,
     knuth_prim,
     knuth_ref,
+    run_budgeted,
 )
 from hyperfold.notation import evaluate, parse
 
@@ -285,6 +287,106 @@ def test_knuth_ref_trip_memory_is_bounded_by_runs():
     assert peak < 1 << 20, peak
 
 
+def _outcome(fn, *args, budget):
+    """A value and its stats, or the trip's class, message and stats."""
+    try:
+        return run_budgeted(fn, *args, budget=budget)
+    except HyperError as exc:
+        return (type(exc), str(exc), exc.stats)
+
+
+def _accounting(fn, args, budget):
+    """(value or trip class, steps used, peak digits) of a public call."""
+    try:
+        value, stats = fn(*args, budget)
+    except HyperError as exc:
+        value, stats = type(exc), exc.stats
+    return (value, stats.steps_used, stats.peak_digits)
+
+
+KNUTH_PRIM_STEPS = (1, 2, 3, 5, 10, 50, 300, 5000, 10**5, 10**7)
+KNUTH_PRIM_DIGITS = (1, 2, 4, 12, 100, 10**5)
+_DIGITS = 10**5
+_M = MagnitudeExceeded
+
+#: the (a, n, b) of the grid below whose literal tower, under 10^5 digits and
+#: 10^5 or 10^7 steps, runs 10^5 multiplies or more on numbers of up to 10^5
+#: digits: 0.2-5 s each, about 70 s in all.  Their knuth_literal_prim
+#: outcomes, (value or trip class, steps, peak digits) under 10^5 steps and
+#: then under 10^7 steps, are frozen here.
+KNUTH_PRIM_HEAVY = {
+    (2, 2, 5): ((2**65536, 65567, 19729), (2**65536, 65567, 19729)),
+    (2, 3, 4): ((BudgetExceeded, 10**5, 19729), (_M, 397800, _DIGITS + 1)),
+    (2, 3, 5): ((BudgetExceeded, 10**5, 19729), (_M, 397800, _DIGITS + 1)),
+    (2, 4, 3): ((BudgetExceeded, 10**5, 19729), (_M, 397816, _DIGITS + 1)),
+    (2, 4, 4): ((BudgetExceeded, 10**5, 19729), (_M, 397816, _DIGITS + 1)),
+    (2, 4, 5): ((BudgetExceeded, 10**5, 19729), (_M, 397816, _DIGITS + 1)),
+    (3, 2, 4): ((BudgetExceeded, 10**5, 47694), (_M, 209629, _DIGITS + 1)),
+    (3, 2, 5): ((BudgetExceeded, 10**5, 47694), (_M, 209629, _DIGITS + 1)),
+    (3, 3, 3): ((BudgetExceeded, 10**5, 47675), (_M, 209669, _DIGITS + 1)),
+    (3, 3, 4): ((BudgetExceeded, 10**5, 47675), (_M, 209669, _DIGITS + 1)),
+    (3, 3, 5): ((BudgetExceeded, 10**5, 47675), (_M, 209669, _DIGITS + 1)),
+    (3, 4, 2): ((BudgetExceeded, 10**5, 47673), (_M, 209675, _DIGITS + 1)),
+    (3, 4, 3): ((BudgetExceeded, 10**5, 47673), (_M, 209675, _DIGITS + 1)),
+    (3, 4, 4): ((BudgetExceeded, 10**5, 47673), (_M, 209675, _DIGITS + 1)),
+    (3, 4, 5): ((BudgetExceeded, 10**5, 47673), (_M, 209675, _DIGITS + 1)),
+    (4, 2, 4): ((BudgetExceeded, 10**5, 60045), (_M, 166365, _DIGITS + 1)),
+    (4, 2, 5): ((BudgetExceeded, 10**5, 60045), (_M, 166365, _DIGITS + 1)),
+    (4, 3, 2): ((BudgetExceeded, 10**5, 60042), (_M, 166370, _DIGITS + 1)),
+    (4, 3, 3): ((BudgetExceeded, 10**5, 60042), (_M, 166370, _DIGITS + 1)),
+    (4, 3, 4): ((BudgetExceeded, 10**5, 60042), (_M, 166370, _DIGITS + 1)),
+    (4, 3, 5): ((BudgetExceeded, 10**5, 60042), (_M, 166370, _DIGITS + 1)),
+    (4, 4, 2): ((BudgetExceeded, 10**5, 60039), (_M, 166376, _DIGITS + 1)),
+    (4, 4, 3): ((BudgetExceeded, 10**5, 60039), (_M, 166376, _DIGITS + 1)),
+    (4, 4, 4): ((BudgetExceeded, 10**5, 60039), (_M, 166376, _DIGITS + 1)),
+    (4, 4, 5): ((BudgetExceeded, 10**5, 60039), (_M, 166376, _DIGITS + 1)),
+}
+
+
+def _is_heavy(a, n, b, max_steps, max_digits):
+    heavy_budget = max_digits == _DIGITS and max_steps >= 10**5
+    return heavy_budget and (a, n, b) in KNUTH_PRIM_HEAVY
+
+
+@pytest.mark.parametrize("max_digits", KNUTH_PRIM_DIGITS)
+def test_knuth_prim_matches_literal_grid(max_digits):
+    # the innermost foldn (a*) 1 is one counted multiply run; every value,
+    # trip, message and stats must be those of one closure entry per
+    # multiply
+    compared = 0
+    for max_steps in KNUTH_PRIM_STEPS:
+        budget = Budget(max_steps, max_digits)
+        for a, n, b in itertools.product(range(5), range(5), range(6)):
+            if _is_heavy(a, n, b, max_steps, max_digits):
+                continue
+            want = _outcome(_oracles.knuth_literal_prim, a, n, b, budget=budget)
+            got = _outcome(eval_knuth_prim, a, n, b, budget=budget)
+            assert got == want, (a, n, b, max_steps, max_digits)
+            compared += 1
+    assert compared == 1500 - 50 * (max_digits == _DIGITS)
+
+
+@pytest.mark.parametrize("args", sorted(KNUTH_PRIM_HEAVY))
+def test_knuth_prim_heavy_grid_points_match_frozen_literal(args):
+    for max_steps, want in zip((10**5, 10**7), KNUTH_PRIM_HEAVY[args]):
+        budget = Budget(max_steps, _DIGITS)
+        assert _accounting(knuth_prim, args, budget) == want, (args, max_steps)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    _knuth_entry,
+    st.integers(0, 6),
+    _knuth_entry,
+    st.integers(1, 20_000),
+    st.integers(1, 400),
+)
+def test_knuth_prim_matches_literal_sampled(a, n, b, max_steps, max_digits):
+    budget = Budget(max_steps, max_digits)
+    want = _outcome(_oracles.knuth_literal_prim, a, n, b, budget=budget)
+    assert _outcome(eval_knuth_prim, a, n, b, budget=budget) == want
+
+
 # --- cpow and the Conway back end -----------------------------------------
 
 
@@ -527,11 +629,7 @@ PRIMITIVE_ACCOUNTING = [
     ids=[f"{fn.__name__}{args!r:.40}" for fn, args, _, _ in PRIMITIVE_ACCOUNTING],
 )
 def test_primitive_accounting_is_exact(fn, args, budget, want):
-    try:
-        value, stats = fn(*args, budget)
-    except HyperError as exc:
-        value, stats = type(exc), exc.stats
-    assert (value, stats.steps_used, stats.peak_digits) == want
+    assert _accounting(fn, args, budget) == want
 
 
 #: one deep call of every public evaluator; every fold form raises the
