@@ -7,15 +7,26 @@ protocol of :mod:`hyperfold.budget`, which defines the statuses and whose
 
 Counters are kept in locals and compared against precomputed limits: these
 loops run tens of millions of iterations per call, so no attribute lookups
-or method calls in the hot path.
+or method calls in the hot path.  The digit cap is ``max_digits`` itself:
+a value's bit length against :func:`~hyperfold.budget.safe_bits`, then
+:func:`~hyperfold.budget.reaches_cap`, so no machine builds
+``10**max_digits`` unless a value comes within a few bits of it.
 """
 
 from __future__ import annotations
 
-from .budget import OK, TRIP_MAGNITUDE, TRIP_STEPS, mul_run, pow_counted
+from .budget import (
+    OK,
+    TRIP_MAGNITUDE,
+    TRIP_STEPS,
+    mul_run,
+    pow_counted,
+    reaches_cap,
+    safe_bits,
+)
 
 
-def ack_machine(m0, n0, max_steps, mag_limit, steps0=0):
+def ack_machine(m0, n0, max_steps, max_digits, steps0=0):
     """Ackermann by the three rewrite equations, one step per application.
 
     Levels 0..2 resolve in closed form: from value n, level 1 yields n+2 in
@@ -32,8 +43,9 @@ def ack_machine(m0, n0, max_steps, mag_limit, steps0=0):
     steps = steps0
     n = n0
     peak = m0 if m0 > n0 else n0
-    if peak >= mag_limit:
+    if reaches_cap(peak, max_digits):
         return (TRIP_MAGNITUDE, 0, steps, peak)
+    safe = safe_bits(max_digits)
     stack = [m0]
     pop = stack.pop
     push = stack.append
@@ -73,12 +85,12 @@ def ack_machine(m0, n0, max_steps, mag_limit, steps0=0):
             continue
         if n > peak:
             peak = n
-            if n >= mag_limit:
+            if n.bit_length() > safe and reaches_cap(n, max_digits):
                 return (TRIP_MAGNITUDE, 0, steps, peak)
     return (OK, n, steps, peak)
 
 
-def knuth_machine(a, n0, b, max_steps, mag_limit, steps0=0):
+def knuth_machine(a, n0, b, max_steps, max_digits, steps0=0):
     """Extended up-arrow by its rewrite equations; level 0 is one multiply.
 
     The literal machine pops one level per equation application: level 0
@@ -104,7 +116,7 @@ def knuth_machine(a, n0, b, max_steps, mag_limit, steps0=0):
     steps = steps0
     val = b
     peak = max(a, n0, b)
-    if peak >= mag_limit:
+    if reaches_cap(peak, max_digits):
         return (TRIP_MAGNITUDE, 0, steps, peak)
     levels = [n0]
     counts = [1]
@@ -113,7 +125,7 @@ def knuth_machine(a, n0, b, max_steps, mag_limit, steps0=0):
         if k == 0:
             levels.pop()
             status, val, steps, peak = mul_run(
-                val, a, counts.pop(), max_steps, mag_limit, steps, peak
+                val, a, counts.pop(), max_steps, max_digits, steps, peak
             )
             if status != OK:
                 return (status, 0, steps, peak)
@@ -134,7 +146,7 @@ def knuth_machine(a, n0, b, max_steps, mag_limit, steps0=0):
     return (OK, val, steps, peak)
 
 
-def conway_machine(entries, max_steps, mag_limit, max_digits, steps0=0):
+def conway_machine(entries, max_steps, max_digits, steps0=0):
     """Chained-arrow rewriting over the reversed chain, one step per rule.
 
     A configuration is (h0, h1, idx): the list h0 : h1 : rev[idx:], where
@@ -152,7 +164,7 @@ def conway_machine(entries, max_steps, mag_limit, max_digits, steps0=0):
     for e in entries:
         if e > peak:
             peak = e
-    if peak >= mag_limit:
+    if reaches_cap(peak, max_digits):
         return (TRIP_MAGNITUDE, 0, steps, peak)
     rev = tuple(reversed(entries))
     end = len(rev)

@@ -11,7 +11,10 @@ owns the charging rules, shared by every evaluator of both families:
 * any produced value with more than ``max_digits`` decimal digits aborts.
 
 ``peak_digits`` is the decimal size of the largest value held at any point
-during the evaluation, inputs included.
+during the evaluation, inputs included.  The digit cap is decided by bit
+length (:func:`reaches_cap`): ``10**max_digits`` is built only for a value
+within a couple of bits of it, never up front, so a budget costs nothing
+until work is done, whatever its cap.
 
 Two ways to charge, one protocol.  The fold forms charge a :class:`Meter`
 directly (``spend``, ``note``).  The rewrite machines keep local counters
@@ -31,17 +34,25 @@ runs and the fold form's innermost ``foldn (a*) 1 x`` both call it.  Unlike
 a power, a run trips exactly where its multiplies one at a time would: on
 the first product that reaches the digit cap, or on the first multiply past
 the step budget.
+
+:class:`Record` is the frozen value class of :class:`Budget`,
+:class:`EvalStats`, the syntax nodes and the CLI's configuration.
 """
 
 from __future__ import annotations
 
 import functools
 import sys
-from dataclasses import dataclass
 from math import log
 
 _LOG10_2_NUM = 30103  # log10(2) ~= 30103/100000, used for a first digit guess
 _LOG10_2_DEN = 100000
+
+#: log2(10) lies strictly between _LOG2_10_NUM / _LOG2_10_DEN and
+#: (_LOG2_10_NUM + 1) / _LOG2_10_DEN, which bound a digit cap in bits
+_LOG2_10_NUM = 3321928094887362347
+_LOG2_10_DEN = 10**18
+_LN_10 = log(10)
 
 #: status of a ``(status, value, steps, peak_value)`` tuple
 OK = 0
@@ -49,28 +60,78 @@ TRIP_STEPS = 1
 TRIP_MAGNITUDE = 2
 
 
-@dataclass(frozen=True)
-class Budget:
+class Record:
+    """An immutable value with named fields, as a frozen dataclass is.
+
+    A subclass lists its fields, in order, in ``__match_args__``, which class
+    patterns read too, and sets each once in ``__init__`` with
+    ``object.__setattr__``.  Equality needs the same class and equal fields,
+    the hash is that of the fields, the repr names them, assigning or
+    deleting an attribute raises ``AttributeError``, and copies and pickles
+    are rebuilt through ``__init__``.
+    """
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self.__match_args__
+        )
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (self.__class__, self._values())
+
+
+def _limit(name: str, value: int) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{name} must be an int, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1")
+    return value
+
+
+class Budget(Record):
     """Resource limits threaded through every evaluation."""
 
-    max_steps: int = 10**7
-    max_digits: int = 10**5
+    # the defaults, which cli also reads on the class; the instance's own
+    # values live in its __dict__, as a class attribute and a slot cannot
+    # share a name
+    max_steps = 10**7
+    max_digits = 10**5
+    __match_args__ = ("max_steps", "max_digits")
 
-    def __post_init__(self):
-        for name in ("max_steps", "max_digits"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise TypeError(f"{name} must be an int, got {value!r}")
-            if value < 1:
-                raise ValueError(f"{name} must be >= 1")
+    def __init__(self, max_steps: int = max_steps, max_digits: int = max_digits):
+        object.__setattr__(self, "max_steps", _limit("max_steps", max_steps))
+        object.__setattr__(self, "max_digits", _limit("max_digits", max_digits))
 
 
-@dataclass(frozen=True)
-class EvalStats:
+class EvalStats(Record):
     """What an evaluation actually consumed."""
 
-    steps_used: int = 0
-    peak_digits: int = 0
+    __slots__ = __match_args__ = ("steps_used", "peak_digits")
+
+    def __init__(self, steps_used: int = 0, peak_digits: int = 0):
+        object.__setattr__(self, "steps_used", steps_used)
+        object.__setattr__(self, "peak_digits", peak_digits)
 
     def combined(self, other: "EvalStats") -> "EvalStats":
         return EvalStats(
@@ -130,12 +191,38 @@ def _pow10(e: int) -> int:
     return 10**e
 
 
-#: every Meter asks for its budget's limit (10**100000 by default, ~5 ms to
-#: build), so those few are kept apart from the churn of decimal_digits
+#: built only for a value within a few bits of a digit cap (reaches_cap),
+#: and kept apart from the churn of decimal_digits
 @functools.lru_cache(maxsize=4)
 def magnitude_limit(max_digits: int) -> int:
     """Smallest value with more than ``max_digits`` digits."""
     return 10**max_digits
+
+
+def safe_bits(max_digits: int) -> int:
+    """The most bits a value may have and surely have at most ``max_digits``
+    digits: at most ``floor(max_digits * log2(10))``, and within one of it
+    for caps below 10**18 digits."""
+    return max_digits * _LOG2_10_NUM // _LOG2_10_DEN
+
+
+def reaches_cap(value: int, max_digits: int) -> bool:
+    """Whether ``value >= 10**max_digits``, decided by bit length.
+
+    A value of b bits lies in ``[2**(b-1), 2**b)``, and ``10**max_digits``
+    has about ``max_digits * log2(10)`` bits.  A value of at most
+    :func:`safe_bits` bits is below the cap, one with b - 1 above
+    ``max_digits * log2(10)`` is above it, and only a value in the couple
+    of bit lengths between is compared with the power itself
+    (:func:`magnitude_limit`).  That value is as large as the power, so the
+    power costs no more than the work that made it.
+    """
+    bits = value.bit_length()
+    if bits <= safe_bits(max_digits):
+        return False
+    if (bits - 1) * _LOG2_10_DEN >= max_digits * (_LOG2_10_NUM + 1):
+        return True
+    return value >= magnitude_limit(max_digits)
 
 
 def count_text(n: int) -> str:
@@ -191,15 +278,17 @@ class Meter:
 
     The closure-based fold evaluators charge through this object directly;
     the hot rewrite machines keep local counters and report through
-    :meth:`settle`.
+    :meth:`settle`.  A meter builds nothing the size of its digit cap: a new
+    peak costs one comparison of its bit length with :func:`safe_bits`, and
+    only a value past that asks :func:`reaches_cap`.
     """
 
-    __slots__ = ("max_steps", "max_digits", "mag_limit", "steps", "peak")
+    __slots__ = ("max_steps", "max_digits", "safe_bits", "steps", "peak")
 
     def __init__(self, budget: Budget):
         self.max_steps = budget.max_steps
         self.max_digits = budget.max_digits
-        self.mag_limit = magnitude_limit(budget.max_digits)
+        self.safe_bits = safe_bits(budget.max_digits)
         self.steps = 0
         self.peak = 0
 
@@ -213,7 +302,9 @@ class Meter:
     def note(self, value: int) -> None:
         if value > self.peak:
             self.peak = value
-            if value >= self.mag_limit:
+            if value.bit_length() > self.safe_bits and reaches_cap(
+                value, self.max_digits
+            ):
                 raise self._magnitude_trip()
 
     def settle(self, result) -> int:
@@ -297,21 +388,22 @@ def checked_pow(base: int, exponent: int, meter: Meter) -> int:
     )
 
 
-def mul_run(val, a, count, max_steps, mag_limit, steps, peak):
+def mul_run(val, a, count, max_steps, max_digits, steps, peak):
     """``val * a**count`` by ``count`` multiplies by ``a``, one step each.
 
     Counts from ``steps`` and ``peak`` (a raw value, not digits), needs
-    non-negative operands and ``val <= peak < mag_limit``, and returns
+    non-negative operands and ``val <= peak < 10**max_digits``, and returns
     ``(status, value, steps, peak)``, exactly as the multiplies run one at a
     time would.  A magnitude trip reports ``steps + j`` and the first product
-    ``val * a**j >= mag_limit``; a step trip reports ``max_steps``, with
-    ``val * a**headroom`` counted in the peak.  Products of ``a`` in {0, 1},
-    or of ``val = 0``, never exceed the peak; only a growing run looks for
-    its trip point, in closed form (:func:`_first_reaching`).
+    ``val * a**j`` with more than ``max_digits`` digits; a step trip reports
+    ``max_steps``, with ``val * a**headroom`` counted in the peak.  Products
+    of ``a`` in {0, 1}, or of ``val = 0``, never exceed the peak; only a
+    growing run looks for its trip point, in closed form
+    (:func:`_first_reaching`).
     """
     headroom = max_steps - steps
     if a >= 2 and val and count and headroom > 0:
-        j, val = _first_reaching(val, a, mag_limit, min(count, headroom))
+        j, val = _first_reaching(val, a, max_digits, min(count, headroom))
         if j:
             return (TRIP_MAGNITUDE, 0, steps + j, val)
         if val > peak:
@@ -323,21 +415,26 @@ def mul_run(val, a, count, max_steps, mag_limit, steps, peak):
     return (OK, val, steps + count, peak)
 
 
-def _first_reaching(val, a, limit, most):
-    """The first j in 1..most with ``val * a**j >= limit``, and that value.
+def _first_reaching(val, a, max_digits, most):
+    """The first j in 1..most with ``val * a**j >= 10**max_digits``, and
+    that value.
 
-    Needs a >= 2, 1 <= val < limit and most >= 1.  Returns ``(j, val *
-    a**j)``, or ``(0, val * a**most)`` when no such j exists.  A float
-    estimate of j is corrected by exact integer comparisons, so no value
-    much larger than ``limit * a`` is ever built.
+    Needs a >= 2, 1 <= val < 10**max_digits and most >= 1.  Returns ``(j,
+    val * a**j)``, or ``(0, val * a**most)`` when no such j exists.  A run
+    whose bit lengths add up to at most :func:`safe_bits` is that value at
+    once.  Otherwise a float estimate of j is corrected by exact tests
+    (:func:`reaches_cap`), so no value much larger than ``a *
+    10**max_digits`` is ever built.
     """
-    estimate = (log(limit) - log(val)) / log(a)
+    if val.bit_length() + most * a.bit_length() <= safe_bits(max_digits):
+        return (0, val * a**most)
+    estimate = (max_digits * _LN_10 - log(val)) / log(a)
     j = most if estimate >= most else max(1, int(estimate))
     v = val * a**j
-    if v >= limit:
+    if reaches_cap(v, max_digits):
         while j > 1:
             smaller = v // a
-            if smaller < limit:
+            if not reaches_cap(smaller, max_digits):
                 break
             v = smaller
             j -= 1
@@ -345,6 +442,6 @@ def _first_reaching(val, a, limit, most):
     while j < most:
         v *= a
         j += 1
-        if v >= limit:
+        if reaches_cap(v, max_digits):
             return (j, v)
     return (0, v)

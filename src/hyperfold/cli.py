@@ -1,14 +1,16 @@
 """Command-line front door: evaluate expressions, REPL, self-test.
 
 Exit codes: 0 ok, 1 selftest failure, 2 parse error, 3 budget exhausted
-(steps or digits), 4 domain error, 5 reference/primitive mismatch.
+(steps or digits), 4 domain error, 5 reference/primitive mismatch, 141
+stdout closed before the output was written (a reader such as ``head``
+stopped early; nothing more is printed).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
-from dataclasses import dataclass
 
 from .budget import (
     Budget,
@@ -18,6 +20,7 @@ from .budget import (
     EvalStats,
     HyperError,
     MagnitudeExceeded,
+    Record,
     int_to_decimal,
 )
 from .notation import BOTH, FORMS, MismatchError, ParseError, evaluate, parse
@@ -28,6 +31,7 @@ EXIT_PARSE = 2
 EXIT_BUDGET = 3
 EXIT_DOMAIN = 4
 EXIT_MISMATCH = 5
+EXIT_PIPE = 141  # 128 + SIGPIPE, as a shell reports a writer its reader left
 
 _ERROR_EXIT_CODES = {
     BudgetExceeded: EXIT_BUDGET,
@@ -37,12 +41,20 @@ _ERROR_EXIT_CODES = {
 }
 
 
-@dataclass(frozen=True)
-class Config:
-    form: str = BOTH
-    max_steps: int = Budget.max_steps
-    max_digits: int = Budget.max_digits
-    quiet: bool = False
+class Config(Record):
+    __slots__ = __match_args__ = ("form", "max_steps", "max_digits", "quiet")
+
+    def __init__(
+        self,
+        form: str = BOTH,
+        max_steps: int = Budget.max_steps,
+        max_digits: int = Budget.max_digits,
+        quiet: bool = False,
+    ):
+        object.__setattr__(self, "form", form)
+        object.__setattr__(self, "max_steps", max_steps)
+        object.__setattr__(self, "max_digits", max_digits)
+        object.__setattr__(self, "quiet", quiet)
 
     def budget(self) -> Budget:
         return Budget(max_steps=self.max_steps, max_digits=self.max_digits)
@@ -53,7 +65,12 @@ def _stats_line(stats: EvalStats) -> str:
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid positive integer value: {text!r}"
+        ) from None
     if value < 1:
         raise argparse.ArgumentTypeError("must be >= 1")
     return value
@@ -159,13 +176,22 @@ def main(argv: list[str] | None = None) -> int:
         max_digits=args.max_digits,
         quiet=args.quiet,
     )
-    if args.command == "eval":
-        return run_eval(args.expression, config)
-    if args.command == "repl":
-        return run_repl(config)
-    from .selftest import run_selftest
+    try:
+        if args.command == "eval":
+            code = run_eval(args.expression, config)
+        elif args.command == "repl":
+            code = run_repl(config)
+        else:
+            from .selftest import run_selftest
 
-    return run_selftest(args.level, config.budget())
+            code = run_selftest(args.level, config.budget())
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout's reader has gone: send what is still buffered to the null
+        # device, so that the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
+    return code
 
 
 if __name__ == "__main__":

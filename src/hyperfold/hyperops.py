@@ -94,7 +94,7 @@ def eval_ack_ref(m: int, n: int, meter: Meter) -> int:
     m = _require_natural("m", m, meter)
     n = _require_natural("n", n, meter)
     return meter.settle(
-        ack_machine(m, n, meter.max_steps, meter.mag_limit, meter.steps)
+        ack_machine(m, n, meter.max_steps, meter.max_digits, meter.steps)
     )
 
 
@@ -134,7 +134,7 @@ def eval_knuth_ref(a: int, n: int, b: int, meter: Meter) -> int:
     n = _require_natural("n", n, meter)
     b = _require_natural("b", b, meter)
     return meter.settle(
-        knuth_machine(a, n, b, meter.max_steps, meter.mag_limit, meter.steps)
+        knuth_machine(a, n, b, meter.max_steps, meter.max_digits, meter.steps)
     )
 
 
@@ -158,7 +158,7 @@ def eval_knuth_prim(a: int, n: int, b: int, meter: Meter) -> int:
         # x multiplies
         meter.spend()
         return meter.settle(
-            mul_run(1, a, x, meter.max_steps, meter.mag_limit, meter.steps, meter.peak)
+            mul_run(1, a, x, meter.max_steps, meter.max_digits, meter.steps, meter.peak)
         )
 
     def layer(f: Callable[[int], int]) -> Callable[[int], int]:
@@ -194,9 +194,7 @@ def _checked_chain(entries: Sequence[int], meter: Meter) -> Chain:
 def eval_conway_ref(entries: Sequence[int], meter: Meter) -> int:
     chain = _checked_chain(entries, meter)
     return meter.settle(
-        conway_machine(
-            chain, meter.max_steps, meter.mag_limit, meter.max_digits, meter.steps
-        )
+        conway_machine(chain, meter.max_steps, meter.max_digits, meter.steps)
     )
 
 

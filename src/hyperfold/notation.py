@@ -19,10 +19,16 @@ plain exponentiation); level 0 (multiplication) is only reachable through
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Union
 
-from .budget import Budget, EvalStats, Meter, decimal_to_int, int_to_decimal
+from .budget import (
+    Budget,
+    EvalStats,
+    Meter,
+    Record,
+    decimal_to_int,
+    int_to_decimal,
+)
 from .hyperops import (
     DEFAULT_BUDGET,
     eval_ack_prim,
@@ -76,36 +82,44 @@ class MismatchError(Exception):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NatLit:
-    value: int
+class NatLit(Record):
+    __slots__ = __match_args__ = ("value",)
+
+    def __init__(self, value: int):
+        object.__setattr__(self, "value", value)
 
 
-@dataclass(frozen=True)
-class Ack:
-    m: "Expr"
-    n: "Expr"
+class Ack(Record):
+    __slots__ = __match_args__ = ("m", "n")
+
+    def __init__(self, m: Expr, n: Expr):
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
 
 
-@dataclass(frozen=True)
-class Knuth:
-    a: "Expr"
-    level: "Expr"
-    b: "Expr"
+class Knuth(Record):
+    __slots__ = __match_args__ = ("a", "level", "b")
+
+    def __init__(self, a: Expr, level: Expr, b: Expr):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "b", b)
 
 
-@dataclass(frozen=True)
-class ChainE:
-    items: tuple["Expr", ...]  # written order, length >= 2
+class ChainE(Record):
+    __slots__ = __match_args__ = ("items",)
 
-    def __post_init__(self):
-        if len(self.items) < 2:
+    def __init__(self, items: tuple[Expr, ...]):  # written order, length >= 2
+        if len(items) < 2:
             raise ValueError("chain expressions need at least two items")
+        object.__setattr__(self, "items", items)
 
 
-@dataclass(frozen=True)
-class ConwayCall:
-    items: tuple["Expr", ...]  # any length, 0 legal
+class ConwayCall(Record):
+    __slots__ = __match_args__ = ("items",)
+
+    def __init__(self, items: tuple[Expr, ...]):  # any length, 0 legal
+        object.__setattr__(self, "items", items)
 
 
 Expr = Union[NatLit, Ack, Knuth, ChainE, ConwayCall]

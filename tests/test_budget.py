@@ -1,12 +1,16 @@
 import itertools
 import random
 import sys
+import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _oracles
 from hyperfold import budget
+from hyperfold._machines import ack_machine, conway_machine, knuth_machine
 from hyperfold.budget import (
     OK,
     TRIP_MAGNITUDE,
@@ -22,8 +26,9 @@ from hyperfold.budget import (
     int_to_decimal,
     magnitude_limit,
     mul_run,
+    reaches_cap,
 )
-from hyperfold.hyperops import knuth_ref
+from hyperfold.hyperops import knuth_prim, knuth_ref
 
 
 def test_budget_defaults_and_validation():
@@ -75,10 +80,79 @@ def test_power_of_ten_caches_stay_bounded():
     for k in range(1000, 300001, 1000):
         assert knuth_ref(2, 1, k)[0] == 2**k
     assert budget._pow10.cache_info().currsize <= budget._POW10_CACHE_SIZE
-    # the default budget's limit, 10**100000, is still cached
-    misses = budget.magnitude_limit.cache_info().misses
-    Meter(Budget())
-    assert budget.magnitude_limit.cache_info().misses == misses
+    # a meter builds no power of ten, not even its cap, 10**100000 (41 KB)
+    misses = (budget.magnitude_limit.cache_info(), budget._pow10.cache_info())
+    tracemalloc.start()
+    try:
+        Meter(Budget())
+        _, peak_bytes = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (budget.magnitude_limit.cache_info(), budget._pow10.cache_info()) == misses
+    assert peak_bytes < 2000
+
+
+def _cap_boundary_values(max_digits):
+    """10**d - 1 and 10**d, and 2**k - 1 and 2**k for k around the bit
+    length of 10**d: every value whose bit length lies near the cap."""
+    limit = 10**max_digits
+    bits = limit.bit_length()
+    values = [limit - 1, limit]
+    for k in range(bits - 3, bits + 4):
+        values += [(1 << k) - 1, 1 << k]
+    return limit, values
+
+
+@pytest.mark.parametrize("span", [range(1, 101), range(101, 401), [10**5, 10**6]])
+def test_digit_cap_trips_exactly_at_the_power_of_ten(span):
+    # the cap is decided by bit length; each check must still trip iff
+    # value >= 10**d, as the literal machines with their eager 10**d do
+    for d in span:
+        limit, values = _cap_boundary_values(d)
+        for v in values:
+            want = v >= limit
+            assert reaches_cap(v, d) == want, (d, v)
+            meter = Meter(Budget(max_digits=d))
+            if want:
+                with pytest.raises(MagnitudeExceeded):
+                    meter.note(v)
+            else:
+                meter.note(v)
+            assert meter.peak == v
+            steps = 10**9
+            assert ack_machine(0, v, steps, d) == _oracles.ack_literal_machine(
+                0, v, steps, limit
+            ), (d, v)
+            assert knuth_machine(v, 0, 1, steps, d) == (
+                _oracles.knuth_literal_machine(v, 0, 1, steps, limit)
+            ), (d, v)
+            assert conway_machine((v,), steps, d) == (
+                _oracles.conway_literal_machine((v,), steps, limit, d)
+            ), (d, v)
+        bits = limit.bit_length()  # the first power of two past the cap
+        runs = [(2, bits + 2, bits, 1 << bits), (10, d + 2, d, limit)]
+        if d <= 400:
+            runs.append((3, bits, None, None))
+        for a, count, j, first in runs:
+            args = (1, a, count, 10**9, d, 0, 1)
+            if j is None:
+                want = _plain_mul_run(1, a, count, 10**9, limit, 0, 1)
+            else:
+                want = (TRIP_MAGNITUDE, 0, j, first)
+            assert mul_run(*args) == want, (d, a)
+
+
+def test_a_meter_is_built_at_once_whatever_its_cap():
+    # 10**(10**12) could never be built; the cap is tested by bit length
+    start = time.perf_counter()
+    meter = Meter(Budget(max_digits=10**12))
+    elapsed = time.perf_counter() - start
+    assert elapsed < 0.010, f"Meter took {elapsed * 1000:.1f} ms"
+    meter.note(10**5000)
+    assert meter.stats() == EvalStats(steps_used=0, peak_digits=5001)
+    for max_digits in (10**12, 10**400):
+        huge = Budget(max_digits=max_digits)
+        assert knuth_ref(2, 2, 4, huge)[0] == knuth_prim(2, 2, 4, huge)[0] == 2**16
 
 
 def test_meter_spend_clamps_at_limit():
@@ -171,7 +245,8 @@ def test_mul_run_matches_plain_loop():
             peak = val + extra  # the run needs val <= peak < mag_limit
             args = (val, a, count, max_steps, mag, steps, peak)
             want = _plain_mul_run(*args)
-            assert mul_run(*args) == want, args
+            got = mul_run(val, a, count, max_steps, max_digits, steps, peak)
+            assert got == want, args
             cases += 1
     assert cases == 78_720
 

@@ -153,12 +153,15 @@ def test_primitive_multiply_runs_trip_within_a_second(text, stats):
 
 
 def test_cli_imports_the_selftest_suites_only_for_selftest():
-    probe = "import sys, hyperfold.cli; print('hyperfold.selftest' in sys.modules)"
+    # nor dataclasses and the inspect module it pulls in; argparse, which
+    # every command needs, is imported with cli itself
+    names = ["hyperfold.selftest", "dataclasses", "inspect", "argparse"]
+    probe = f"import sys, hyperfold.cli; print([n in sys.modules for n in {names}])"
     proc = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    assert proc.stdout == "[False, False, False, True]\n"
     assert run_cli("selftest", "quick").returncode == 0
 
 
@@ -189,6 +192,52 @@ def test_selftest_fails_under_tiny_budget():
 def test_flag_validation():
     proc = run_cli("--max-steps", "0", "eval", "1->2")
     assert proc.returncode == 2
+    assert "argument --max-steps: must be >= 1" in proc.stderr
+    for flag in ("--max-steps", "--max-digits"):
+        proc = run_cli(flag, "0x10", "eval", "1->2")
+        assert proc.returncode == 2
+        assert f"argument {flag}: invalid positive integer value: '0x10'" in (
+            proc.stderr
+        )
+        assert "_positive_int" not in proc.stderr
+
+
+def test_a_huge_digit_cap_costs_nothing_up_front():
+    # 10**10000000 is never built: 12.3 s when every meter built its cap
+    start = time.perf_counter()
+    proc = run_cli("--max-digits", "10000000", "eval", "2")
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "2\nsteps=0 peak_digits=1\n"
+    assert elapsed < 1.0, f"took {elapsed:.2f} s"
+
+
+@pytest.mark.parametrize("buffered", [False, True])
+@pytest.mark.parametrize(
+    "args, stdin", [(["eval", "3->3->2"], None), (["repl"], "2^^5\n3\n")]
+)
+def test_closed_stdout_ends_quietly(args, stdin, buffered):
+    # a reader that has gone (``| head``): no traceback, the documented code
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            CLI + args,
+            input=stdin,
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=60,
+            env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == cli.EXIT_PIPE == 141
+    assert proc.stderr == ""
 
 
 def test_big_output_prints_in_full():

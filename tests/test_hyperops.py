@@ -102,7 +102,7 @@ def test_ack_ref_accounts_every_equation_application():
     for m in range(4):
         for n in range(7):
             literal = _oracles.ack_literal_machine(m, n, B.max_steps, mag)
-            shortcut = ack_machine(m, n, B.max_steps, mag)
+            shortcut = ack_machine(m, n, B.max_steps, B.max_digits)
             assert shortcut == literal, (m, n)
             assert shortcut[2] == _oracles.count_ack_steps(m, n)
 
@@ -112,7 +112,7 @@ def test_ack_machine_budget_trips_match_literal():
     exact = _oracles.count_ack_steps(3, 3)
     for max_steps in (1, 2, 10, 100, exact - 1, exact, exact + 1):
         literal = _oracles.ack_literal_machine(3, 3, max_steps, mag)
-        shortcut = ack_machine(3, 3, max_steps, mag)
+        shortcut = ack_machine(3, 3, max_steps, 10)
         # value/status and reported steps agree even on mid-run trips
         assert shortcut[0] == literal[0], max_steps
         assert shortcut[2] == literal[2], max_steps
@@ -124,7 +124,7 @@ def test_ack_magnitude_trip_decision_matches_literal():
     # ack(2, 60) = 123: three digits, so a 2-digit cap must trip both
     mag = magnitude_limit(2)
     literal = _oracles.ack_literal_machine(2, 60, 10**7, mag)
-    shortcut = ack_machine(2, 60, 10**7, mag)
+    shortcut = ack_machine(2, 60, 10**7, 2)
     assert literal[0] == shortcut[0] == 2
 
 
@@ -234,7 +234,7 @@ def test_knuth_machine_matches_literal_grid(steps0):
             for max_digits in KNUTH_GRID_DIGITS:
                 mag = magnitude_limit(max_digits)
                 want = _oracles.knuth_literal_machine(a, n, b, max_steps, mag, steps0)
-                got = knuth_machine(a, n, b, max_steps, mag, steps0)
+                got = knuth_machine(a, n, b, max_steps, max_digits, steps0)
                 assert got == want, (a, n, b, max_steps, max_digits, steps0)
 
 
@@ -253,7 +253,7 @@ _knuth_entry = st.one_of(st.integers(0, 12), st.integers(0, 10**6))
 def test_knuth_machine_matches_literal_sampled(a, n, b, max_steps, max_digits, steps0):
     mag = magnitude_limit(max_digits)
     want = _oracles.knuth_literal_machine(a, n, b, max_steps, mag, steps0)
-    assert knuth_machine(a, n, b, max_steps, mag, steps0) == want
+    assert knuth_machine(a, n, b, max_steps, max_digits, steps0) == want
 
 
 @pytest.mark.parametrize(
@@ -489,9 +489,10 @@ def test_conway_machine_matches_literal_grid(steps0):
             for max_digits in KNUTH_GRID_DIGITS:
                 mag = magnitude_limit(max_digits)
                 args = (chain, max_steps, mag, max_digits, steps0)
-                assert conway_machine(*args) == _oracles.conway_literal_machine(
-                    *args
-                ), (chain, max_steps, max_digits, steps0)
+                got = conway_machine(chain, max_steps, max_digits, steps0)
+                assert got == _oracles.conway_literal_machine(*args), (
+                    chain, max_steps, max_digits, steps0
+                )
 
 
 @settings(max_examples=300, deadline=None)
@@ -503,7 +504,8 @@ def test_conway_machine_matches_literal_grid(steps0):
 )
 def test_conway_machine_matches_literal_sampled(chain, max_steps, max_digits, steps0):
     args = (tuple(chain), max_steps, magnitude_limit(max_digits), max_digits, steps0)
-    assert conway_machine(*args) == _oracles.conway_literal_machine(*args)
+    got = conway_machine(tuple(chain), max_steps, max_digits, steps0)
+    assert got == _oracles.conway_literal_machine(*args)
 
 
 def test_conway_rejects_zero_entries():
