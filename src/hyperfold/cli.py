@@ -1,9 +1,10 @@
 """Command-line front door: evaluate expressions, REPL, self-test.
 
 Exit codes: 0 ok, 1 selftest failure, 2 parse error, 3 budget exhausted
-(steps or digits), 4 domain error, 5 reference/primitive mismatch, 141
-stdout closed before the output was written (a reader such as ``head``
-stopped early; nothing more is printed).
+(steps or digits), 4 domain error, 5 reference/primitive mismatch, 74
+stdout could not take the output (say, a full disk; one line on stderr
+says why), 141 stdout closed before the output was written (a reader such
+as ``head`` stopped early; nothing more is printed).
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ EXIT_PARSE = 2
 EXIT_BUDGET = 3
 EXIT_DOMAIN = 4
 EXIT_MISMATCH = 5
+EXIT_IOERR = 74  # EX_IOERR of sysexits.h
 EXIT_PIPE = 141  # 128 + SIGPIPE, as a shell reports a writer its reader left
 
 _ERROR_EXIT_CODES = {
@@ -191,6 +193,12 @@ def main(argv: list[str] | None = None) -> int:
         # device, so that the flush at exit cannot fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_PIPE
+    except OSError as exc:
+        # stdout refused the output (ENOSPC, EIO, ...): say so once, and let
+        # the flush at exit write what is still buffered to the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_IOERR
     return code
 
 

@@ -9,7 +9,9 @@ evaluator must account for, and ``ack_literal_machine``,
 work-stack rewriters used to pin down the production machines' accounting.
 ``knuth_literal_prim`` is the fold form with no shortcut at all, one closure
 entry per multiply; it meters the package's own ``Meter``, so its trips,
-messages and stats compare exactly with ``knuth_prim``'s.
+messages and stats compare exactly with ``knuth_prim``'s.  ``check_law``
+runs a law of the ``hyperfold.selftest`` catalogue and compares every value
+it yields with the oracle ``LAW_ORACLES`` gives the law.
 """
 
 from __future__ import annotations
@@ -19,9 +21,10 @@ import threading
 from functools import lru_cache
 from typing import Callable
 
-from hyperfold.budget import Meter
+from hyperfold.budget import Budget, Meter
 from hyperfold.folds import foldn
 from hyperfold.hyperops import _ensure_depth, _require_natural
+from hyperfold.notation import Ack, ChainE, ConwayCall, Knuth, NatLit, parse
 
 STACK_BYTES = 512 * 1024 * 1024
 RECURSION_LIMIT = 500_000
@@ -291,3 +294,88 @@ def knuth_literal_prim(a: int, n: int, b: int, meter: Meter) -> int:
         return g
 
     return foldn(layer, times_a, n)(b)
+
+
+def expr_value(expr) -> int:
+    """The value of a parsed expression, node by node, by the oracles above."""
+    match expr:
+        case NatLit(value):
+            return value
+        case Ack(m, n):
+            return ack(expr_value(m), expr_value(n))
+        case Knuth(a, level, b):
+            return knuth(expr_value(a), expr_value(level), expr_value(b))
+        case ChainE(items) | ConwayCall(items):
+            return conway([expr_value(item) for item in items])
+    raise TypeError(f"not an expression: {expr!r}")
+
+
+#: the value of each public call a catalogue case names, by its arguments
+CALLS = {
+    "ack_ref": ack,
+    "ack_prim": ack,
+    "knuth_ref": knuth,
+    "knuth_prim": knuth,
+    "conway_ref": conway,
+    "conway_prim": conway,
+    # cback_prim(tail, q, p) is the written chain the front end reduced:
+    # the tail reversed, then p and q, each entry one more
+    "cback_prim": lambda tail, q, p: conway(
+        [x + 1 for x in reversed(tail)] + [p + 1, q + 1]
+    ),
+    "cpow": lambda q, p: (p + 1) ** (q + 1),
+    "evaluate": lambda text, _form: expr_value(parse(text)),
+}
+
+#: foldn g e n in closed form, for each step family g the fold laws sample
+FOLDN_CLOSED_FORMS = {
+    "+1": lambda _k, e, n: e + n,
+    "+k": lambda k, e, n: e + k * n,
+    "*2": lambda _k, e, n: e * 2**n,
+    "*3": lambda _k, e, n: e * 3**n,
+}
+
+
+def _called(case):
+    return CALLS[case[0]](*case[1])
+
+
+def _folded(case):
+    return FOLDN_CLOSED_FORMS[case[0]](*case[1:])
+
+
+#: for each catalogue law whose values have an oracle, the value a case must
+#: yield; the laws over foldr, Church numerals, parse trees and text have none
+LAW_ORACLES = {
+    "ack-values": _called,
+    "knuth-values": _called,
+    "conway-values": _called,
+    "back-end-values": _called,
+    "evaluate-values": _called,
+    "budget-monotonicity": _called,
+    "determinism": _called,
+    "foldn-universal-property": _folded,
+    "fold-equivalence": _folded,
+    "ack-agreement": lambda case: ack(*case),
+    "ack-recurrences": lambda case: ack(*case),
+    "knuth-agreement": lambda case: knuth(*case),
+    "knuth-recurrences": lambda case: knuth(*case),
+    "conway-agreement": conway,
+    "chain-collapse": lambda case: conway(case[1]),
+    "chain-arrow-correspondence": lambda case: knuth(case[0], case[2], case[1]),
+    "ack-knuth-bridge": lambda case: knuth(2, case[0], case[1] + 3) - 3,
+}
+
+
+def check_law(law, budget: Budget = Budget()) -> list:
+    """Run every case of a catalogue law, comparing each value it yields
+    with the law's oracle; a case on which both forms trip a limit yields
+    None and has no value to compare.  Returns the values, case by case."""
+    oracle = LAW_ORACLES.get(law.name)
+    values = []
+    for case in law.cases:
+        value = law.check(case, budget)
+        if oracle is not None and value is not None:
+            assert value == oracle(case), (law.name, case)
+        values.append(value)
+    return values

@@ -240,6 +240,27 @@ def test_closed_stdout_ends_quietly(args, stdin, buffered):
     assert proc.stderr == ""
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize(
+    "args, stdin", [(["eval", "2^^4"], None), (["repl"], "2^^4\n")]
+)
+def test_full_stdout_ends_with_one_line_and_exit_74(args, stdin):
+    # every write to /dev/full fails with ENOSPC: one stderr line, no
+    # traceback, and not the selftest-failure code 1
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            CLI + args,
+            input=stdin,
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=60,
+        )
+    assert proc.returncode == cli.EXIT_IOERR == 74
+    assert proc.stderr.startswith("error: cannot write output: ")
+    assert len(proc.stderr.splitlines()) == 1
+
+
 def test_big_output_prints_in_full():
     # 2^^5 = 2^65536: 19729 digits of plain decimal on one line
     proc = run_cli("--quiet", "eval", "2^^5")
