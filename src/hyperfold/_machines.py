@@ -5,10 +5,12 @@ returns a plain status tuple ``(status, value, steps, peak_value)`` in the
 protocol of :mod:`hyperfold.budget`, which defines the statuses and whose
 ``Meter.settle`` turns a trip into its exception.
 
-Counters are kept in locals and compared against precomputed limits: these
-loops run tens of millions of iterations per call, so no attribute lookups
-or method calls in the hot path.  The digit cap is ``max_digits`` itself:
-a value's bit length against :func:`~hyperfold.budget.safe_bits`, then
+The Ackermann and Knuth machines keep ``(level, count)`` runs, so their
+memory follows the level, not the step budget.  The Conway machine takes
+one iteration per rule, so counters are kept in locals and compared
+against precomputed limits, with no attribute lookups or method calls in
+the hot path.  The digit cap is ``max_digits`` itself: a value's bit
+length against :func:`~hyperfold.budget.safe_bits`, then
 :func:`~hyperfold.budget.reaches_cap`, so no machine builds
 ``10**max_digits`` unless a value comes within a few bits of it.
 """
@@ -27,18 +29,26 @@ from .budget import (
 
 
 def ack_machine(m0, n0, max_steps, max_digits, steps0=0):
-    """Ackermann by the three rewrite equations, one step per application.
+    """Ackermann by its three rewrite equations, one step per application.
 
-    Levels 0..2 resolve in closed form: from value n, level 1 yields n+2 in
-    2n+2 applications and level 2 yields 2n+3 in 2n^2+7n+5 applications —
-    the exact application counts of the plain rewrite cascade, in which
-    every intermediate value is bounded by the level's result.  Values,
-    success stats, budget trip points (in step space) and whether the
-    magnitude cap trips therefore all match the unshortcut machine
-    (tests/test_hyperops.py holds it to that); the one divergence is the
-    reported trip *kind* when both limits would be crossed inside a single
-    closed-form resolution (the step check runs first here).  Without the
-    closed forms, ack(4, 1) alone costs 2,862,984,010 machine iterations.
+    The literal machine pops one level per equation application: level 0
+    increments ``n``; level m >= 1 at ``n == 0`` sets it to 1 and pushes
+    m-1; otherwise it decrements ``n`` and pushes m-1 below m.  Here the
+    work stack holds ``(level, count)`` runs instead, with two rules:
+
+    * descent: a level-m >= 2 frame at ``n`` is the next n+1 applications;
+      it is charged n+1 steps at once, pushes the run ``(m-1, n+1)`` and
+      sets ``n = 1``;
+    * base run: c level-1 frames from ``n`` yield n + 2c in 2c(n + c)
+      applications, with one step check and then one magnitude check.
+      Level 0 comes only from m0 = 0 and yields n+1 in one step.
+
+    Run levels strictly decrease from the bottom of the stack to the top,
+    so it never holds more than m0 runs.  Values, success stats and step
+    trip points are those of the literal machine (``tests/_oracles.py``
+    keeps it as ``ack_literal_machine``), except that a trip inside a base
+    run leaves the run's intermediate values out of the peak, and a
+    magnitude trip reports the steps of the whole run.
     """
     steps = steps0
     n = n0
@@ -46,47 +56,38 @@ def ack_machine(m0, n0, max_steps, max_digits, steps0=0):
     if reaches_cap(peak, max_digits):
         return (TRIP_MAGNITUDE, 0, steps, peak)
     safe = safe_bits(max_digits)
-    stack = [m0]
-    pop = stack.pop
-    push = stack.append
-    while stack:
-        m = pop()
-        if m == 0:
-            steps += 1
+    levels = [m0]
+    counts = [1]
+    while levels:
+        m = levels[-1]
+        c = counts[-1]
+        if m < 2:
+            levels.pop()
+            counts.pop()
+            if m:
+                steps += 2 * c * (n + c)
+                n += 2 * c
+            else:
+                steps += 1
+                n += 1
             if steps > max_steps:
                 return (TRIP_STEPS, 0, max_steps, peak)
-            n += 1
-        elif m == 1:
-            cost = 2 * n + 2
-            if steps + cost > max_steps:
-                return (TRIP_STEPS, 0, max_steps, peak)
-            steps += cost
-            n += 2
-        elif m == 2:
-            cost = (2 * n + 7) * n + 5
-            if steps + cost > max_steps:
-                return (TRIP_STEPS, 0, max_steps, peak)
-            steps += cost
-            n = 2 * n + 3
-        elif n == 0:
-            steps += 1
-            if steps > max_steps:
-                return (TRIP_STEPS, 0, max_steps, peak)
-            n = 1
-            push(m - 1)
+            if n > peak:
+                peak = n
+                if n.bit_length() > safe and reaches_cap(n, max_digits):
+                    return (TRIP_MAGNITUDE, 0, steps, peak)
             continue
+        if c == 1:
+            levels.pop()
+            counts.pop()
         else:
-            steps += 1
-            if steps > max_steps:
-                return (TRIP_STEPS, 0, max_steps, peak)
-            n -= 1
-            push(m - 1)
-            push(m)
-            continue
-        if n > peak:
-            peak = n
-            if n.bit_length() > safe and reaches_cap(n, max_digits):
-                return (TRIP_MAGNITUDE, 0, steps, peak)
+            counts[-1] = c - 1
+        steps += n + 1
+        if steps > max_steps:
+            return (TRIP_STEPS, 0, max_steps, peak)
+        levels.append(m - 1)
+        counts.append(n + 1)
+        n = 1  # never a new peak: peak >= m0 >= 2
     return (OK, n, steps, peak)
 
 
@@ -201,14 +202,11 @@ def conway_machine(entries, max_steps, max_digits, steps0=0):
             h0 = pop_q()
             idx = pop_i()
             h1 = value
-        elif h0 == 1:
-            # last written entry is 1: drop it
+        elif h0 == 1 or h1 == 1:
+            # a last written entry of 1 is dropped (h0 = h1), and a
+            # next-to-last entry of 1 collapses the chain past it (h0 = 1,
+            # which is h1): both leave h1 in front of the rest
             h0 = h1
-            h1 = rev[idx]
-            idx += 1
-        elif h1 == 1:
-            # next-to-last written entry is 1: chain collapses past it
-            h0 = 1
             h1 = rev[idx]
             idx += 1
         else:

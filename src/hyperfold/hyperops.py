@@ -81,8 +81,6 @@ def _ensure_depth(depth: int, meter: Meter) -> None:
             f"(limit {CLOSURE_DEPTH_LIMIT})",
             meter.stats(),
         )
-    if sys.getrecursionlimit() < _RECURSION_CEILING:
-        sys.setrecursionlimit(_RECURSION_CEILING)
 
 
 # ---------------------------------------------------------------------------
@@ -287,17 +285,20 @@ _caller_limit = 0
 
 @contextlib.contextmanager
 def recursion_scope():
-    """Run one evaluation, during which ``_ensure_depth`` may raise the
-    recursion limit.
+    """Run one evaluation under a recursion limit of at least
+    ``_RECURSION_CEILING``.
 
-    The limit is process-wide, so the caller's limit comes back when the
-    last evaluation running in any thread ends, never under one that may
-    still be nested deeper than it.
+    The limit is process-wide: the first evaluation to enter, in any
+    thread, saves the caller's limit and raises it, and the caller's limit
+    comes back when the last one ends, never under one that may still be
+    nested deeper than it.
     """
     global _scope_count, _caller_limit
     with _scope_lock:
         if _scope_count == 0:
             _caller_limit = sys.getrecursionlimit()
+            if _caller_limit < _RECURSION_CEILING:
+                sys.setrecursionlimit(_RECURSION_CEILING)
         _scope_count += 1
     try:
         yield

@@ -108,10 +108,11 @@ def count_ack_steps(m: int, n: int) -> int:
     return 1 + count_ack_steps(m, n - 1) + count_ack_steps(m - 1, ack(m, n - 1))
 
 
-def ack_literal_machine(m0: int, n0: int, max_steps: int, mag_limit: int):
+def ack_literal_machine(m0, n0, max_steps, mag_limit, steps0=0):
     """The unshortcut rewrite machine: every equation application is one
-    loop iteration.  Same status-tuple protocol as the production machine."""
-    steps = 0
+    loop iteration.  Same signature and status-tuple protocol as the
+    production ``ack_machine``."""
+    steps = steps0
     n = n0
     peak = max(m0, n0)
     if peak >= mag_limit:
