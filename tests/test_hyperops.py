@@ -63,6 +63,39 @@ def test_ack_machine_matches_literal_grid(steps0):
                         assert got[2] == _oracles.count_ack_steps(m, n), case
 
 
+def test_ack_ref_accounts_every_equation_application():
+    # the production machine charges whole runs at once, but must report
+    # exactly the literal rewrite cascade's step count
+    mag = magnitude_limit(B.max_digits)
+    for m in range(4):
+        for n in range(7):
+            literal = _oracles.ack_literal_machine(m, n, B.max_steps, mag)
+            shortcut = ack_machine(m, n, B.max_steps, B.max_digits)
+            assert shortcut == literal, (m, n)
+            assert shortcut[2] == _oracles.count_ack_steps(m, n)
+
+
+def test_ack_machine_budget_trips_match_literal():
+    mag = magnitude_limit(10)
+    exact = _oracles.count_ack_steps(3, 3)
+    for max_steps in (1, 2, 10, 100, exact - 1, exact, exact + 1):
+        literal = _oracles.ack_literal_machine(3, 3, max_steps, mag)
+        shortcut = ack_machine(3, 3, max_steps, 10)
+        # value/status and reported steps agree even on mid-run trips
+        assert shortcut[0] == literal[0], max_steps
+        assert shortcut[2] == literal[2], max_steps
+        if literal[0] == 0:
+            assert shortcut == literal
+
+
+def test_ack_magnitude_trip_decision_matches_literal():
+    # ack(2, 60) = 123: three digits, so a 2-digit cap must trip both
+    mag = magnitude_limit(2)
+    literal = _oracles.ack_literal_machine(2, 60, 10**7, mag)
+    shortcut = ack_machine(2, 60, 10**7, 2)
+    assert literal[0] == shortcut[0] == 2
+
+
 def test_ack_ref_trip_memory_is_bounded_by_runs():
     # one stack slot per descent would hold about 10**7 frames (80 MB) on
     # this trip; runs hold at most m entries
