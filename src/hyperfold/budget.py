@@ -14,7 +14,10 @@ owns the charging rules, shared by every evaluator of both families:
 during the evaluation, inputs included.  The digit cap is decided by bit
 length (:func:`reaches_cap`): ``10**max_digits`` is built only for a value
 within a couple of bits of it, never up front, so a budget costs nothing
-until work is done, whatever its cap.
+until work is done, whatever its cap.  Digit counts and the cap answer "how
+many decimal digits?" the same way: one log2(10) bracket on the bit length,
+then at most one power of ten from one bounded cache, which the decimal
+converters share.
 
 Two ways to charge, one protocol.  The fold forms charge a :class:`Meter`
 directly (``spend``, ``note``).  The rewrite machines keep local counters
@@ -45,11 +48,8 @@ import functools
 import sys
 from math import log
 
-_LOG10_2_NUM = 30103  # log10(2) ~= 30103/100000, used for a first digit guess
-_LOG10_2_DEN = 100000
-
 #: log2(10) lies strictly between _LOG2_10_NUM / _LOG2_10_DEN and
-#: (_LOG2_10_NUM + 1) / _LOG2_10_DEN, which bound a digit cap in bits
+#: (_LOG2_10_NUM + 1) / _LOG2_10_DEN, which bound every digit count in bits
 _LOG2_10_NUM = 3321928094887362347
 _LOG2_10_DEN = 10**18
 _LN_10 = log(10)
@@ -168,35 +168,34 @@ class ConstructionLimit(HyperError):
 
 
 def decimal_digits(value: int) -> int:
-    """Exact count of decimal digits of a non-negative integer."""
+    """Exact count of decimal digits of a non-negative integer.
+
+    A value of b bits lies in ``[2**(b-1), 2**b)``, so it has at least
+    ``1 + (b-1) * DEN // (NUM+1)`` and at most ``1 + b * DEN // NUM`` digits
+    (the log2(10) bracket).  The bounds meet, or differ by one for any value
+    that fits in memory, and then one power of ten decides between them.
+    """
     if value < 0:
         raise ValueError("decimal_digits is defined for non-negative values")
     if value == 0:
         return 1
-    guess = ((value.bit_length() - 1) * _LOG10_2_NUM) // _LOG10_2_DEN
-    while _pow10(guess) > value:
-        guess -= 1
-    while _pow10(guess + 1) <= value:
-        guess += 1
-    return guess + 1
+    bits = value.bit_length()
+    digits = 1 + (bits - 1) * _LOG2_10_DEN // (_LOG2_10_NUM + 1)
+    most = 1 + bits * _LOG2_10_DEN // _LOG2_10_NUM
+    while digits < most and value >= _pow10(digits):
+        digits += 1
+    return digits
 
 
-#: powers of ten kept for decimal_digits: bounded, so that a long session
-#: holds the sizes it saw last, not every size it ever saw
+#: powers of ten kept for digit counts, the digit cap and the decimal
+#: converters: bounded, so that a long session holds the sizes it saw last,
+#: not every size it ever saw
 _POW10_CACHE_SIZE = 64
 
 
 @functools.lru_cache(maxsize=_POW10_CACHE_SIZE)
 def _pow10(e: int) -> int:
     return 10**e
-
-
-#: built only for a value within a few bits of a digit cap (reaches_cap),
-#: and kept apart from the churn of decimal_digits
-@functools.lru_cache(maxsize=4)
-def magnitude_limit(max_digits: int) -> int:
-    """Smallest value with more than ``max_digits`` digits."""
-    return 10**max_digits
 
 
 def safe_bits(max_digits: int) -> int:
@@ -213,8 +212,8 @@ def reaches_cap(value: int, max_digits: int) -> bool:
     has about ``max_digits * log2(10)`` bits.  A value of at most
     :func:`safe_bits` bits is below the cap, one with b - 1 above
     ``max_digits * log2(10)`` is above it, and only a value in the couple
-    of bit lengths between is compared with the power itself
-    (:func:`magnitude_limit`).  That value is as large as the power, so the
+    of bit lengths between is compared with the power itself, from the
+    one cache of powers of ten.  That value is as large as the power, so the
     power costs no more than the work that made it.
     """
     bits = value.bit_length()
@@ -222,7 +221,7 @@ def reaches_cap(value: int, max_digits: int) -> bool:
         return False
     if (bits - 1) * _LOG2_10_DEN >= max_digits * (_LOG2_10_NUM + 1):
         return True
-    return value >= magnitude_limit(max_digits)
+    return value >= _pow10(max_digits)
 
 
 def count_text(n: int) -> str:

@@ -1,10 +1,12 @@
 """Command-line front door: evaluate expressions, REPL, self-test.
 
 Exit codes: 0 ok, 1 selftest failure, 2 parse error, 3 budget exhausted
-(steps or digits), 4 domain error, 5 reference/primitive mismatch, 74
-stdout could not take the output (say, a full disk; one line on stderr
-says why), 141 stdout closed before the output was written (a reader such
-as ``head`` stopped early; nothing more is printed).
+(steps or digits), 4 domain error or construction limit (too deep a
+nesting, or no memory left to evaluate or render the value), 5
+reference/primitive mismatch, 74 stdout could not take the output (say, a
+full disk; one line on stderr says why), 141 stdout closed before the
+output was written (a reader such as ``head`` stopped early; nothing more
+is printed).
 """
 
 from __future__ import annotations
@@ -98,10 +100,17 @@ def run_eval(expr_text: str, config: Config) -> int:
     except HyperError as exc:
         _print_error(exc.kind, str(exc), exc.stats)
         return _ERROR_EXIT_CODES.get(type(exc), EXIT_DOMAIN)
-    print(int_to_decimal(value))
-    if not config.quiet:
-        print(_stats_line(stats))
-    return EXIT_OK
+    try:
+        text = int_to_decimal(value)
+    except MemoryError:
+        pass  # reported below, once the pieces built so far are freed
+    else:
+        print(text)
+        if not config.quiet:
+            print(_stats_line(stats))
+        return EXIT_OK
+    _print_error("construction", "rendering the value ran out of memory", stats)
+    return EXIT_DOMAIN
 
 
 def run_repl(config: Config) -> int:

@@ -325,7 +325,11 @@ def run_budgeted(fn, *args, budget: Budget):
         raise ConstructionLimit(
             "evaluation exceeded the safe nesting depth", meter.stats()
         ) from None
-    return value, meter.stats()
+    except MemoryError:
+        pass  # raised below, once the traceback and the ints it holds are freed
+    else:
+        return value, meter.stats()
+    raise ConstructionLimit("evaluation ran out of memory", meter.stats())
 
 
 def ack_ref(m: int, n: int, budget: Budget = DEFAULT_BUDGET):

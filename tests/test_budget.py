@@ -24,7 +24,6 @@ from hyperfold.budget import (
     decimal_digits,
     decimal_to_int,
     int_to_decimal,
-    magnitude_limit,
     mul_run,
     reaches_cap,
 )
@@ -65,14 +64,28 @@ def test_decimal_digits_matches_str(n):
 
 
 def test_decimal_digits_boundaries():
-    for e in (1, 2, 5, 17, 100):
-        assert decimal_digits(10**e - 1) == e
-        assert decimal_digits(10**e) == e + 1
+    # exact against the exponent, not str, where the log2(10) bracket is
+    # tightest: 10**e - 1, 10**e and 10**e + 1
+    for e in [*range(3000), 10**4, 10**5, 2 * 10**5, 10**6]:
+        power = 10**e
+        if e:
+            assert decimal_digits(power - 1) == e, e
+        assert decimal_digits(power) == e + 1, e
+        assert decimal_digits(power + 1) == e + 1, e
 
 
-def test_magnitude_limit_is_first_overflowing_value():
-    assert decimal_digits(magnitude_limit(5) - 1) == 5
-    assert decimal_digits(magnitude_limit(5)) == 6
+def test_decimal_digits_builds_at_most_one_power_of_ten():
+    rng = random.Random(11)
+    values = [10**e + d for e in (1, 17, 300, 4000) for d in (-1, 0, 1)]
+    values += [rng.getrandbits(rng.randrange(1, 14_000)) for _ in range(200)]
+    for value in values:
+        budget._pow10.cache_clear()
+        assert decimal_digits(value) == len(str(value))
+        assert budget._pow10.cache_info().misses <= 1, value
+    # 9**10**6 has 954,243 digits and its bracket bounds meet: no power
+    budget._pow10.cache_clear()
+    assert decimal_digits(9**10**6) == 954_243
+    assert budget._pow10.cache_info().misses == 0
 
 
 def test_power_of_ten_caches_stay_bounded():
@@ -81,14 +94,14 @@ def test_power_of_ten_caches_stay_bounded():
         assert knuth_ref(2, 1, k)[0] == 2**k
     assert budget._pow10.cache_info().currsize <= budget._POW10_CACHE_SIZE
     # a meter builds no power of ten, not even its cap, 10**100000 (41 KB)
-    misses = (budget.magnitude_limit.cache_info(), budget._pow10.cache_info())
+    misses = budget._pow10.cache_info()
     tracemalloc.start()
     try:
         Meter(Budget())
         _, peak_bytes = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert (budget.magnitude_limit.cache_info(), budget._pow10.cache_info()) == misses
+    assert budget._pow10.cache_info() == misses
     assert peak_bytes < 2000
 
 
@@ -236,7 +249,7 @@ def _plain_mul_run(val, a, count, max_steps, mag_limit, steps, peak):
 def test_mul_run_matches_plain_loop():
     cases = 0
     for max_digits in (1, 2, 4, 12):
-        mag = magnitude_limit(max_digits)
+        mag = 10**max_digits
         for a, val, count, max_steps, steps, extra in itertools.product(
             (0, 1, 2, 3, 10), range(4), range(41), (1, 2, 3, 5, 10, 50), (0, 1), (0, 6)
         ):

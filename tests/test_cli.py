@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperfold import cli
-from hyperfold.notation import FORMS
+from hyperfold.budget import Budget, ConstructionLimit, EvalStats
+from hyperfold.notation import FORMS, evaluate, parse
 
 CLI = [sys.executable, "-m", "hyperfold.cli"]
 
@@ -300,3 +301,52 @@ def test_token_string_fuzz_ends_in_a_documented_exit_code(text):
                 with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                     code = cli.run_eval(text, config)
                 assert code in (0, 2, 3, 4), (text, config, err.getvalue())
+
+
+def _run_eval_captured(text, config):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run_eval(text, config)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _out_of_memory(*_args):
+    raise MemoryError
+
+
+@pytest.mark.parametrize(
+    "form, module, steps",
+    [
+        # ack(2,3)'s 44 rewrites, then the chain's power fails
+        ("reference", "hyperfold._machines", 44),
+        # ack(2,3)'s 27 closure entries and the chain fold's 3, then its power
+        ("primitive", "hyperfold.budget", 30),
+    ],
+)
+def test_evaluation_out_of_memory_is_a_construction_limit(
+    monkeypatch, form, module, steps
+):
+    monkeypatch.setattr(f"{module}.pow_counted", _out_of_memory)
+    text = "(ack(2,3))->3"
+    with pytest.raises(ConstructionLimit) as trip:
+        evaluate(parse(text), form, Budget())
+    assert trip.value.detail == "evaluation ran out of memory"
+    assert trip.value.stats == EvalStats(steps_used=steps, peak_digits=1)
+    # raised after the handler, so no traceback keeps the failed frames alive
+    assert trip.value.__context__ is None
+    code, out, err = _run_eval_captured(text, cli.Config(form=form))
+    assert (code, out) == (cli.EXIT_DOMAIN, "")
+    assert err == (
+        f"construction: evaluation ran out of memory\nsteps={steps} peak_digits=1\n"
+    )
+
+
+def test_rendering_out_of_memory_is_a_construction_limit(monkeypatch):
+    _, stats = evaluate(parse("2^^4"), "both", Budget())
+    monkeypatch.setattr(cli, "int_to_decimal", _out_of_memory)
+    code, out, err = _run_eval_captured("2^^4", cli.Config())
+    assert (code, out) == (cli.EXIT_DOMAIN, "")
+    assert err == (
+        "construction: rendering the value ran out of memory\n"
+        f"steps={stats.steps_used} peak_digits=5\n"
+    )

@@ -32,22 +32,9 @@ def generators(draw):
     return family(k)
 
 
-def test_foldn_examples():
-    assert foldn(lambda x: x + 1, 0, 0) == 0
-    assert foldn(lambda x: x + 2, 1, 3) == 7
-    assert foldn(lambda x: 2 * x, 1, 10) == 1024
-
-
 def test_foldn_rejects_negative_index():
     with pytest.raises(ValueError):
         foldn(lambda x: x, 0, -1)
-
-
-def test_foldr_examples():
-    assert foldr_seq(lambda _x, acc: acc + 1, 0, []) == 0
-    assert foldr_seq(lambda x, acc: x + acc, 0, [1, 2, 3]) == 6
-    # right association: 1 - (2 - 10)
-    assert foldr_seq(lambda x, acc: x - acc, 10, [1, 2]) == 9
 
 
 def test_foldr_does_not_mutate_input():
@@ -86,25 +73,10 @@ def test_foldn_step_count_is_exact():
 # --- Church numerals ------------------------------------------------------
 
 
-def test_church_examples():
-    assert church_zero().apply(lambda x: x + 1, 0) == 0
-    assert church_succ(church_zero()).apply(lambda x: x + 1, 0) == 1
-    two = church_succ(church_succ(church_zero()))
-    assert two.apply(lambda t: t + "I", "") == "II"
-
-
-def test_church_round_trip_at_scale():
-    assert church_to_natural(church_from_natural(10**4)) == 10**4
-
-
 @settings(max_examples=100)
 @given(st.integers(0, 10**4))
 def test_church_round_trip_sampled(n):
     assert church_to_natural(church_from_natural(n)) == n
-
-
-def test_church_succ_semantics():
-    assert church_to_natural(church_succ(church_from_natural(41))) == 42
 
 
 def test_church_construction_depth_counts_steps():

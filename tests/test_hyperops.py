@@ -16,7 +16,6 @@ from hyperfold.budget import (
     DomainError,
     HyperError,
     MagnitudeExceeded,
-    magnitude_limit,
 )
 from hyperfold.hyperops import (
     ack_prim,
@@ -50,7 +49,7 @@ def test_ack_machine_matches_literal_grid(steps0):
     for m, n in itertools.product(range(4), range(7)):
         for max_steps in ACK_GRID_STEPS:
             for max_digits in ACK_GRID_DIGITS:
-                mag = magnitude_limit(max_digits)
+                mag = 10**max_digits
                 want = _oracles.ack_literal_machine(m, n, max_steps, mag, steps0)
                 got = ack_machine(m, n, max_steps, max_digits, steps0)
                 case = (m, n, max_steps, max_digits, steps0)
@@ -66,7 +65,7 @@ def test_ack_machine_matches_literal_grid(steps0):
 def test_ack_ref_accounts_every_equation_application():
     # the production machine charges whole runs at once, but must report
     # exactly the literal rewrite cascade's step count
-    mag = magnitude_limit(B.max_digits)
+    mag = 10**B.max_digits
     for m in range(4):
         for n in range(7):
             literal = _oracles.ack_literal_machine(m, n, B.max_steps, mag)
@@ -76,7 +75,7 @@ def test_ack_ref_accounts_every_equation_application():
 
 
 def test_ack_machine_budget_trips_match_literal():
-    mag = magnitude_limit(10)
+    mag = 10**10
     exact = _oracles.count_ack_steps(3, 3)
     for max_steps in (1, 2, 10, 100, exact - 1, exact, exact + 1):
         literal = _oracles.ack_literal_machine(3, 3, max_steps, mag)
@@ -90,7 +89,7 @@ def test_ack_machine_budget_trips_match_literal():
 
 def test_ack_magnitude_trip_decision_matches_literal():
     # ack(2, 60) = 123: three digits, so a 2-digit cap must trip both
-    mag = magnitude_limit(2)
+    mag = 10**2
     literal = _oracles.ack_literal_machine(2, 60, 10**7, mag)
     shortcut = ack_machine(2, 60, 10**7, 2)
     assert literal[0] == shortcut[0] == 2
@@ -178,7 +177,7 @@ def test_knuth_machine_matches_literal_grid(steps0):
     for a, n, b in itertools.product(range(5), repeat=3):
         for max_steps in KNUTH_GRID_STEPS:
             for max_digits in KNUTH_GRID_DIGITS:
-                mag = magnitude_limit(max_digits)
+                mag = 10**max_digits
                 want = _oracles.knuth_literal_machine(a, n, b, max_steps, mag, steps0)
                 got = knuth_machine(a, n, b, max_steps, max_digits, steps0)
                 assert got == want, (a, n, b, max_steps, max_digits, steps0)
@@ -197,7 +196,7 @@ _knuth_entry = st.one_of(st.integers(0, 12), st.integers(0, 10**6))
     st.integers(0, 50),
 )
 def test_knuth_machine_matches_literal_sampled(a, n, b, max_steps, max_digits, steps0):
-    mag = magnitude_limit(max_digits)
+    mag = 10**max_digits
     want = _oracles.knuth_literal_machine(a, n, b, max_steps, mag, steps0)
     assert knuth_machine(a, n, b, max_steps, max_digits, steps0) == want
 
@@ -358,7 +357,7 @@ def test_conway_machine_matches_literal_grid(steps0):
     for chain in CONWAY_GRID_CHAINS:
         for max_steps in CONWAY_GRID_STEPS:
             for max_digits in KNUTH_GRID_DIGITS:
-                mag = magnitude_limit(max_digits)
+                mag = 10**max_digits
                 args = (chain, max_steps, mag, max_digits, steps0)
                 got = conway_machine(chain, max_steps, max_digits, steps0)
                 assert got == _oracles.conway_literal_machine(*args), (
@@ -374,7 +373,7 @@ def test_conway_machine_matches_literal_grid(steps0):
     st.integers(0, 50),
 )
 def test_conway_machine_matches_literal_sampled(chain, max_steps, max_digits, steps0):
-    args = (tuple(chain), max_steps, magnitude_limit(max_digits), max_digits, steps0)
+    args = (tuple(chain), max_steps, 10**max_digits, max_digits, steps0)
     got = conway_machine(tuple(chain), max_steps, max_digits, steps0)
     assert got == _oracles.conway_literal_machine(*args)
 
