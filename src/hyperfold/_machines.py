@@ -5,128 +5,62 @@ returns a plain status tuple ``(status, value, steps, peak_value)`` in the
 protocol of :mod:`hyperfold.budget`, which defines the statuses and whose
 ``Meter.settle`` turns a trip into its exception.
 
-The Ackermann and Knuth machines keep ``(level, count)`` runs, so their
-memory follows the level, not the step budget.  The Conway machine takes
-one iteration per rule, so counters are kept in locals and compared
-against precomputed limits, with no attribute lookups or method calls in
-the hot path.  The digit cap is ``max_digits`` itself: a value's bit
-length against :func:`~hyperfold.budget.safe_bits`, then
+The Ackermann and Knuth machines are one loop on ``(level, count)`` runs,
+:func:`_tower`, so their memory follows the level, not the step budget.
+The Conway machine takes one iteration per rule, so counters are kept in
+locals and compared against precomputed limits, with no attribute lookups
+or method calls in the hot path.  The digit cap is ``max_digits`` itself:
+a value's bit length against :func:`~hyperfold.budget.safe_bits`, then
 :func:`~hyperfold.budget.reaches_cap`, so no machine builds
 ``10**max_digits`` unless a value comes within a few bits of it.
 """
 
 from __future__ import annotations
 
+from math import isqrt
+
 from .budget import (
     OK,
     TRIP_MAGNITUDE,
     TRIP_STEPS,
+    _pow10,
+    add_run,
     mul_run,
     pow_counted,
     reaches_cap,
-    safe_bits,
 )
 
 
-def ack_machine(m0, n0, max_steps, max_digits, steps0=0):
-    """Ackermann by its three rewrite equations, one step per application.
+def _tower(level, x, base_run, offset, max_steps, max_digits, steps, peak):
+    """A tower's rewrite equations from one level-``level`` frame at ``x``.
 
-    The literal machine pops one level per equation application: level 0
-    increments ``n``; level m >= 1 at ``n == 0`` sets it to 1 and pushes
-    m-1; otherwise it decrements ``n`` and pushes m-1 below m.  Here the
-    work stack holds ``(level, count)`` runs instead, with two rules:
+    The literal machine pops one frame per application: level 0 applies
+    the generator; level k >= 1 at ``x == 0`` sets x = 1 and pushes
+    ``offset`` frames of level k-1; otherwise it decrements x and pushes
+    k-1 below k.  Here the stack holds ``(level, count)`` runs, two rules:
 
-    * descent: a level-m >= 2 frame at ``n`` is the next n+1 applications;
-      it is charged n+1 steps at once, pushes the run ``(m-1, n+1)`` and
-      sets ``n = 1``;
-    * base run: c level-1 frames from ``n`` yield n + 2c in 2c(n + c)
-      applications, with one step check and then one magnitude check.
-      Level 0 comes only from m0 = 0 and yields n+1 in one step.
+    * descent: a level-k >= 1 frame at x is the next x+1 applications,
+      charged at once; it pushes ``(k-1, x + offset)`` (nothing for 0) and
+      sets x = 1, never a new peak, as ``level <= peak`` is required;
+    * base run: c level-0 frames are one ``base_run(x, c, max_steps,
+      max_digits, steps, peak)`` call, which ends in the status-tuple
+      protocol as its c applications one at a time would.
 
-    Run levels strictly decrease from the bottom of the stack to the top,
-    so it never holds more than m0 runs.  Values, success stats and step
-    trip points are those of the literal machine (``tests/_oracles.py``
-    keeps it as ``ack_literal_machine``), except that a trip inside a base
-    run leaves the run's intermediate values out of the peak, and a
-    magnitude trip reports the steps of the whole run.
+    Offset 0 is the paper's layer ``\\f -> foldn f 1``, 1 is ``\\f -> foldn f
+    (f 1)``.  Run levels strictly decrease up the stack, so it holds at most
+    ``level + 1`` runs.  Values, steps, trip kinds and peaks are exactly
+    those of the literal machines in ``tests/_oracles.py``.
     """
-    steps = steps0
-    n = n0
-    peak = m0 if m0 > n0 else n0
     if reaches_cap(peak, max_digits):
         return (TRIP_MAGNITUDE, 0, steps, peak)
-    safe = safe_bits(max_digits)
-    levels = [m0]
-    counts = [1]
-    while levels:
-        m = levels[-1]
-        c = counts[-1]
-        if m < 2:
-            levels.pop()
-            counts.pop()
-            if m:
-                steps += 2 * c * (n + c)
-                n += 2 * c
-            else:
-                steps += 1
-                n += 1
-            if steps > max_steps:
-                return (TRIP_STEPS, 0, max_steps, peak)
-            if n > peak:
-                peak = n
-                if n.bit_length() > safe and reaches_cap(n, max_digits):
-                    return (TRIP_MAGNITUDE, 0, steps, peak)
-            continue
-        if c == 1:
-            levels.pop()
-            counts.pop()
-        else:
-            counts[-1] = c - 1
-        steps += n + 1
-        if steps > max_steps:
-            return (TRIP_STEPS, 0, max_steps, peak)
-        levels.append(m - 1)
-        counts.append(n + 1)
-        n = 1  # never a new peak: peak >= m0 >= 2
-    return (OK, n, steps, peak)
-
-
-def knuth_machine(a, n0, b, max_steps, max_digits, steps0=0):
-    """Extended up-arrow by its rewrite equations; level 0 is one multiply.
-
-    The literal machine pops one level per equation application: level 0
-    multiplies ``val`` by ``a``; level k >= 1 at ``val == 0`` sets it to 1;
-    otherwise it decrements ``val`` and pushes k-1 below k.  Here the work
-    stack holds ``(level, count)`` runs instead, and each rule costs one
-    bounds-checked operation:
-
-    * descent: a level-k >= 1 frame at ``val = v`` is the next v+1
-      applications; it is charged v+1 steps at once, pushes the run
-      ``(k-1, v)`` (nothing when v = 0) and sets ``val = 1``;
-    * multiply run: a run of c level-0 frames is ``val * a**c`` in c steps,
-      one :func:`~hyperfold.budget.mul_run` call, which finds its trip
-      point in closed form, as the fold form's innermost fold does.
-
-    Run levels strictly decrease from the bottom of the stack to the top
-    (a pop leaves a level >= k on top and the descent pushes k-1), so a
-    pushed run never meets an equal one and the stack never holds more than
-    n0 + 1 runs.  Values, steps, trip kinds and peaks are exactly those of
-    the literal machine, which ``tests/_oracles.py`` keeps as
-    ``knuth_literal_machine`` and the tests compare against tuple for tuple.
-    """
-    steps = steps0
-    val = b
-    peak = max(a, n0, b)
-    if reaches_cap(peak, max_digits):
-        return (TRIP_MAGNITUDE, 0, steps, peak)
-    levels = [n0]
+    levels = [level]
     counts = [1]
     while levels:
         k = levels[-1]
         if k == 0:
             levels.pop()
-            status, val, steps, peak = mul_run(
-                val, a, counts.pop(), max_steps, max_digits, steps, peak
+            status, x, steps, peak = base_run(
+                x, counts.pop(), max_steps, max_digits, steps, peak
             )
             if status != OK:
                 return (status, 0, steps, peak)
@@ -137,14 +71,61 @@ def knuth_machine(a, n0, b, max_steps, max_digits, steps0=0):
             counts.pop()
         else:
             counts[-1] = c - 1
-        steps += val + 1
+        steps += x + 1
         if steps > max_steps:
             return (TRIP_STEPS, 0, max_steps, peak)
-        if val:
+        if x + offset:
             levels.append(k - 1)
-            counts.append(val)
-        val = 1  # never a new peak: peak >= n0 >= k >= 1
-    return (OK, val, steps, peak)
+            counts.append(x + offset)
+        x = 1
+    return (OK, x, steps, peak)
+
+
+def _level1_run(n, count, max_steps, max_digits, steps, peak):
+    """``count`` level-1 Ackermann frames from n, as one base run.
+
+    A frame from n takes n+1 descents and n+1 increments to n+2, its
+    largest value, so frames 0..d-1 cost 2d(n+d) steps and end at n+2d.
+    Every whole frame that fits the budget and stays below the cap is
+    charged at once; the next, if any, runs by the exact rules and trips.
+    """
+    headroom = max(max_steps - steps, 0)  # a caller's steps may be past it
+    d = min(count, (isqrt(n * n + 2 * headroom) - n) // 2)
+    if reaches_cap(n + 2 * d, max_digits):
+        d = (_pow10(max_digits) - 1 - n) // 2
+    steps += 2 * d * (n + d)
+    n += 2 * d
+    if n > peak:
+        peak = n
+    if d == count:
+        return (OK, n, steps, peak)
+    steps += n + 1
+    if steps > max_steps:
+        return (TRIP_STEPS, 0, max_steps, peak)
+    return add_run(1, n + 1, max_steps, max_digits, steps, peak)
+
+
+def ack_machine(m0, n0, max_steps, max_digits, steps0=0):
+    """Ackermann by its three rewrite equations, one step per application:
+    :func:`_tower` with offset 1 on level-1 frames, or on one increment for
+    m0 = 0.  It holds at most m0 runs."""
+    peak = m0 if m0 > n0 else n0
+    if m0 == 0:
+        return _tower(0, n0, add_run, 1, max_steps, max_digits, steps0, peak)
+    return _tower(m0 - 1, n0, _level1_run, 1, max_steps, max_digits, steps0, peak)
+
+
+def knuth_machine(a, n0, b, max_steps, max_digits, steps0=0):
+    """Extended up-arrow by its rewrite equations, level 0 one multiply:
+    :func:`_tower` with offset 0 on :func:`~hyperfold.budget.mul_run`, which
+    finds a run's trip point in closed form, as the fold form's innermost
+    fold does.  It holds at most n0 + 1 runs."""
+
+    def times_a(val, count, *budget):
+        return mul_run(val, a, count, *budget)
+
+    peak = max(a, n0, b)
+    return _tower(n0, b, times_a, 0, max_steps, max_digits, steps0, peak)
 
 
 def conway_machine(entries, max_steps, max_digits, steps0=0):

@@ -36,7 +36,9 @@ one step per multiply, in the same protocol: the Knuth machine's level-0
 runs and the fold form's innermost ``foldn (a*) 1 x`` both call it.  Unlike
 a power, a run trips exactly where its multiplies one at a time would: on
 the first product that reaches the digit cap, or on the first multiply past
-the step budget.
+the step budget.  :func:`add_run`, ``val + count`` one step per increment,
+is the same for Ackermann's successor: the reference machine's level-0
+runs call it.
 
 :class:`Record` is the frozen value class of :class:`Budget`,
 :class:`EvalStats`, the syntax nodes and the CLI's configuration.
@@ -412,6 +414,23 @@ def mul_run(val, a, count, max_steps, max_digits, steps, peak):
     if count > headroom:
         return (TRIP_STEPS, 0, max_steps, peak)
     return (OK, val, steps + count, peak)
+
+
+def add_run(val, count, max_steps, max_digits, steps, peak):
+    """``val + count`` by ``count`` increments, one step each, in the
+    contract and protocol of :func:`mul_run`.  A magnitude trip reports the
+    first value to reach the cap, ``10**max_digits``, which is built only
+    for a run that comes within a couple of bits of it."""
+    headroom = max_steps - steps
+    top = val + min(count, headroom)
+    if top > peak:
+        if reaches_cap(top, max_digits):
+            cap = _pow10(max_digits)
+            return (TRIP_MAGNITUDE, 0, steps + cap - val, cap)
+        peak = top
+    if count > headroom:
+        return (TRIP_STEPS, 0, max_steps, peak)
+    return (OK, top, steps + count, peak)
 
 
 def _first_reaching(val, a, max_digits, most):

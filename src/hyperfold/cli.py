@@ -6,7 +6,8 @@ nesting, or no memory left to evaluate or render the value), 5
 reference/primitive mismatch, 74 stdout could not take the output (say, a
 full disk; one line on stderr says why), 141 stdout closed before the
 output was written (a reader such as ``head`` stopped early; nothing more
-is printed).
+is printed).  Diagnostics on stderr are best effort: a stderr that is closed
+or refuses writes changes no exit code.
 """
 
 from __future__ import annotations
@@ -80,10 +81,30 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _to_null_device(stream) -> None:
+    """Point ``stream``'s file descriptor at the null device, so that what it
+    still buffers, and every later write, go nowhere without failing."""
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, stream.fileno())
+    os.close(null)
+
+
+def _warn(line: str) -> None:
+    """One diagnostic line on stderr, best effort: a stderr that is closed
+    or refuses writes loses the line but changes no exit code and ends no
+    REPL session."""
+    if sys.stderr is None:
+        return
+    try:
+        print(line, file=sys.stderr, flush=True)
+    except OSError:
+        _to_null_device(sys.stderr)
+
+
 def _print_error(prefix: str, message: str, stats: EvalStats | None = None) -> None:
-    print(f"{prefix}: {message}", file=sys.stderr)
+    _warn(f"{prefix}: {message}")
     if stats is not None:
-        print(_stats_line(stats), file=sys.stderr)
+        _warn(_stats_line(stats))
 
 
 def run_eval(expr_text: str, config: Config) -> int:
@@ -114,6 +135,8 @@ def run_eval(expr_text: str, config: Config) -> int:
 
 
 def run_repl(config: Config) -> int:
+    if sys.stdin is None:  # no standard input at all (``<&-``): end of input
+        return EXIT_OK
     interactive = sys.stdin.isatty()
     if interactive:
         print("enter an expression per line, :quit to leave")
@@ -129,7 +152,7 @@ def run_repl(config: Config) -> int:
         if line == ":quit":
             return EXIT_OK
         if line.startswith(":"):
-            print(f"unknown command {line!r} (only :quit)", file=sys.stderr)
+            _warn(f"unknown command {line!r} (only :quit)")
             continue
         run_eval(line, config)
 
@@ -198,15 +221,14 @@ def main(argv: list[str] | None = None) -> int:
             code = run_selftest(args.level, config.budget())
         sys.stdout.flush()
     except BrokenPipeError:
-        # stdout's reader has gone: send what is still buffered to the null
-        # device, so that the flush at exit cannot fail again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        # stdout's reader has gone; stderr never raises (_warn), so this
+        # is stdout, and the flush at exit must not fail again
+        _to_null_device(sys.stdout)
         return EXIT_PIPE
     except OSError as exc:
-        # stdout refused the output (ENOSPC, EIO, ...): say so once, and let
-        # the flush at exit write what is still buffered to the null device
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        # stdout refused the output (ENOSPC, EIO, ...): say so once
+        _to_null_device(sys.stdout)
+        _warn(f"error: cannot write output: {exc}")
         return EXIT_IOERR
     return code
 

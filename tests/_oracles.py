@@ -110,8 +110,9 @@ def count_ack_steps(m: int, n: int) -> int:
 
 def ack_literal_machine(m0, n0, max_steps, mag_limit, steps0=0):
     """The unshortcut rewrite machine: every equation application is one
-    loop iteration.  Same signature and status-tuple protocol as the
-    production ``ack_machine``."""
+    loop iteration.  The status-tuple protocol of the production
+    ``ack_machine``, whose ``max_digits`` argument is ``mag_limit`` here, the
+    cap's power ``10**max_digits``."""
     steps = steps0
     n = n0
     peak = max(m0, n0)
@@ -141,8 +142,9 @@ def ack_literal_machine(m0, n0, max_steps, mag_limit, steps0=0):
 
 def knuth_literal_machine(a, n0, b, max_steps, mag_limit, steps0=0):
     """The unshortcut Knuth rewrite machine: one loop iteration and one
-    stack slot per equation application.  Same signature and status-tuple
-    protocol as the production ``knuth_machine``."""
+    stack slot per equation application.  The status-tuple protocol of the
+    production ``knuth_machine``, whose ``max_digits`` argument is
+    ``mag_limit`` here, the cap's power ``10**max_digits``."""
     steps = steps0
     val = b
     peak = max(a, n0, b)
@@ -208,8 +210,9 @@ def _literal_pow(base, exponent, max_steps, mag_limit, max_digits, steps, peak):
 
 def conway_literal_machine(entries, max_steps, mag_limit, max_digits, steps0=0):
     """The Conway rewrite machine with a frame per general-rule firing and a
-    magnitude check after every power.  Same signature and status-tuple
-    protocol as the production ``conway_machine``."""
+    magnitude check after every power.  The status-tuple protocol of the
+    production ``conway_machine``, with the cap's power ``mag_limit =
+    10**max_digits`` before ``max_digits``, which sizes its powers."""
     steps = steps0
     peak = 0
     for e in entries:

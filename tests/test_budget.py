@@ -20,6 +20,7 @@ from hyperfold.budget import (
     EvalStats,
     MagnitudeExceeded,
     Meter,
+    add_run,
     checked_pow,
     decimal_digits,
     decimal_to_int,
@@ -262,6 +263,52 @@ def test_mul_run_matches_plain_loop():
             assert got == want, args
             cases += 1
     assert cases == 78_720
+
+
+def _plain_add_run(val, count, max_steps, mag_limit, steps, peak):
+    """The increments one at a time, each charged and noted."""
+    for _ in range(count):
+        steps += 1
+        if steps > max_steps:
+            return (TRIP_STEPS, 0, max_steps, peak)
+        val += 1
+        if val > peak:
+            peak = val
+            if val >= mag_limit:
+                return (TRIP_MAGNITUDE, 0, steps, peak)
+    return (OK, val, steps, peak)
+
+
+def test_add_run_matches_plain_loop():
+    cases = 0
+    for max_digits in (1, 2, 3, 5, 12):
+        mag = 10**max_digits
+        vals = sorted({0, 1, 2, 3, mag - 3, mag - 2, mag - 1})
+        for val, count, max_steps, steps, extra in itertools.product(
+            vals, range(45), (1, 2, 3, 5, 10, 50), (0, 1), (0, 1, 6)
+        ):
+            peak = val + extra  # the run needs val <= peak < mag_limit
+            if peak >= mag:
+                continue
+            args = (val, count, max_steps, mag, steps, peak)
+            want = _plain_add_run(*args)
+            got = add_run(val, count, max_steps, max_digits, steps, peak)
+            assert got == want, args
+            cases += 1
+    assert cases == 45_900
+
+
+def test_runs_below_the_cap_build_no_power_of_ten():
+    # the cap's power, 10**100000 (41 KB) at the default cap, is built only
+    # for a value within a couple of bits of it, not on every call
+    before = budget._pow10.cache_info()
+    for max_digits in (5, 12, 10**5):
+        for val in (0, 1, 9_999):
+            want = (OK, val + 1000, 1000, val + 1000)
+            assert add_run(val, 1000, 10**9, max_digits, 0, val) == want
+    assert ack_machine(2, 10**6, 10**13, 10**5)[:2] == (OK, 2 * 10**6 + 3)
+    assert ack_machine(3, 10, 10**9, 10**5)[:2] == (OK, 2**13 - 3)
+    assert budget._pow10.cache_info() == before
 
 
 def test_decimal_conversion_in_pieces_under_the_smallest_cap():

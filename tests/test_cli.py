@@ -83,6 +83,12 @@ def test_magnitude_cap_exits_3():
     proc = run_cli("--max-digits", "3", "eval", "knuth(10,1,50)")
     assert proc.returncode == 3
     assert "digits" in proc.stderr
+    # the equations reach 10 at step 64, inside a level-1 frame
+    args = ("--form", "reference", "--max-digits", "1", "--max-steps", "64")
+    proc = run_cli(*args, "eval", "ack(2,4)")
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("magnitude:")
+    assert "steps=64 peak_digits=2" in proc.stderr.splitlines()
 
 
 @pytest.mark.parametrize(
@@ -260,6 +266,47 @@ def test_full_stdout_ends_with_one_line_and_exit_74(args, stdin):
     assert proc.returncode == cli.EXIT_IOERR == 74
     assert proc.stderr.startswith("error: cannot write output: ")
     assert len(proc.stderr.splitlines()) == 1
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize(
+    "args, stdin, code, out",
+    [
+        (["eval", "3->"], None, 2, ""),
+        (["--max-steps", "10", "eval", "3->3->3"], None, 3, ""),
+        (["--quiet", "repl"], "3->\n2^^3\n", 0, "16\n"),
+        (["eval", "2^^4"], None, 74, None),  # stdout full too
+    ],
+)
+def test_full_stderr_keeps_the_exit_code_and_the_output(args, stdin, code, out):
+    # diagnostics are best effort: a stderr that refuses them changes no
+    # exit code and ends no REPL session
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            CLI + args,
+            input=stdin,
+            stdout=full if out is None else subprocess.PIPE,
+            stderr=full,
+            text=True,
+            timeout=60,
+        )
+    assert proc.returncode == code
+    assert proc.stdout == out
+
+
+@pytest.mark.parametrize(
+    "args, redirect, code", [(["repl"], "<&-", 0), (["eval", "3->"], "2>&-", 2)]
+)
+def test_closed_stdin_or_stderr_keeps_the_documented_exit_code(args, redirect, code):
+    # no stdin at all reads as an empty one; no stderr loses the diagnostics
+    proc = subprocess.run(
+        ["sh", "-c", f'exec "$@" {redirect}', "sh", *CLI, *args],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == code
+    assert proc.stdout == ""
 
 
 def test_big_output_prints_in_full():

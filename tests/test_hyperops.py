@@ -43,9 +43,8 @@ ACK_GRID_DIGITS = (1, 2, 3, 100)
 
 @pytest.mark.parametrize("steps0", [0, 7])
 def test_ack_machine_matches_literal_grid(steps0):
-    # the run-length machine charges whole descents and level-1 runs at
-    # once; a magnitude trip reports the steps of the whole run, so only its
-    # step count may differ from the one-step-per-rule machine's
+    # the run-length machine charges whole descents and level-1 frames at
+    # once; every status tuple must equal the one-step-per-rule machine's
     for m, n in itertools.product(range(4), range(7)):
         for max_steps in ACK_GRID_STEPS:
             for max_digits in ACK_GRID_DIGITS:
@@ -53,13 +52,44 @@ def test_ack_machine_matches_literal_grid(steps0):
                 want = _oracles.ack_literal_machine(m, n, max_steps, mag, steps0)
                 got = ack_machine(m, n, max_steps, max_digits, steps0)
                 case = (m, n, max_steps, max_digits, steps0)
-                assert got[:2] == want[:2], case
-                if got[0] != 2:
-                    assert got[2] == want[2], case
-                if got[0] == 0:
-                    assert got == want, case
-                    if steps0 == 0:
-                        assert got[2] == _oracles.count_ack_steps(m, n), case
+                assert got == want, case
+                if got[0] == 0 and steps0 == 0:
+                    assert got[2] == _oracles.count_ack_steps(m, n), case
+
+
+def test_ack_machine_matches_literal_at_every_budget():
+    # every budget up to the whole run (and just past it), so that each
+    # level-1 frame is cut at every step, under caps that the values cross
+    # inside a frame; ack(1, n) for n up to 10**d - 1 ends just under a
+    # d-digit cap, at it or past it
+    points = list(itertools.product(range(4), range(6)))
+    points += [(1, n) for n in (7, 8, 9, 97, 98, 99)]
+    cases = 0
+    for (m, n), max_digits in itertools.product(points, (1, 2, 3)):
+        mag = 10**max_digits
+        total = _oracles.count_ack_steps(m, n)
+        budgets = set(range(1, min(total + 1, 1200) + 1))
+        budgets |= {total - 1, total, total + 1} - {0}
+        for max_steps in sorted(budgets):
+            want = _oracles.ack_literal_machine(m, n, max_steps, mag)
+            got = ack_machine(m, n, max_steps, max_digits)
+            assert got == want, (m, n, max_steps, max_digits)
+            cases += 1
+    assert cases == 15_717
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 3),
+    st.integers(0, 5000),
+    st.integers(1, 60_000),
+    st.integers(1, 5),
+    st.integers(0, 50),
+)
+def test_ack_machine_matches_literal_sampled(m, n, max_steps, max_digits, steps0):
+    mag = 10**max_digits
+    want = _oracles.ack_literal_machine(m, n, max_steps, mag, steps0)
+    assert ack_machine(m, n, max_steps, max_digits, steps0) == want
 
 
 def test_ack_ref_accounts_every_equation_application():
@@ -506,6 +536,28 @@ def test_public_evaluators_leave_interpreter_limits_unchanged(fn, args):
     finally:
         sys.set_int_max_str_digits(caller_cap)
         sys.setrecursionlimit(caller_limit)
+
+
+def test_unbounded_nesting_is_a_construction_limit():
+    # past every per-dimension guard, a RecursionError becomes the typed
+    # limit, with the steps spent so far, and the caller's limit comes back
+    def descend(meter):
+        meter.spend()
+        return descend(meter)
+
+    caller_limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(2000)
+    try:
+        with pytest.raises(ConstructionLimit) as trip:
+            run_budgeted(descend, budget=Budget(max_steps=10**9))
+        assert sys.getrecursionlimit() == 2000
+    finally:
+        sys.setrecursionlimit(caller_limit)
+    assert trip.value.kind == "construction"
+    assert str(trip.value) == "evaluation exceeded the safe nesting depth"
+    assert trip.value.stats.steps_used > 0
+    assert trip.value.__suppress_context__
+    assert isinstance(trip.value.__context__, RecursionError)
 
 
 def test_cback_longer_tails_match_front_end_reduction():
