@@ -4,15 +4,16 @@ Exit codes: 0 ok, 1 selftest failure, 2 parse error, 3 budget exhausted
 (steps or digits), 4 domain error or construction limit (too deep a
 nesting, or no memory left to evaluate or render the value), 5
 reference/primitive mismatch, 74 stdout could not take the output (say, a
-full disk; one line on stderr says why), 141 stdout closed before the
-output was written (a reader such as ``head`` stopped early; nothing more
-is printed).  Diagnostics on stderr are best effort: a stderr that is closed
-or refuses writes changes no exit code.
+full disk, or no stdout at all; one line on stderr says why), 141 stdout
+closed before the output was written (a reader such as ``head`` stopped
+early; nothing more is printed).  Diagnostics on stderr are best effort: a
+stderr that is closed or refuses writes changes no exit code.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 
@@ -79,6 +80,17 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError("must be >= 1")
     return value
+
+
+class _NoStdout:
+    """The stdout of a process started without one (``>&-``): it refuses
+    every write, as a full device does, and holds nothing to flush."""
+
+    def write(self, text: str) -> int:
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+
+    def flush(self) -> None:
+        pass
 
 
 def _to_null_device(stream) -> None:
@@ -210,6 +222,8 @@ def main(argv: list[str] | None = None) -> int:
         max_digits=args.max_digits,
         quiet=args.quiet,
     )
+    if sys.stdout is None:  # started with no stdout at all
+        sys.stdout = _NoStdout()
     try:
         if args.command == "eval":
             code = run_eval(args.expression, config)
@@ -226,8 +240,9 @@ def main(argv: list[str] | None = None) -> int:
         _to_null_device(sys.stdout)
         return EXIT_PIPE
     except OSError as exc:
-        # stdout refused the output (ENOSPC, EIO, ...): say so once
-        _to_null_device(sys.stdout)
+        # stdout refused the output (ENOSPC, EIO, none at all, ...): say so once
+        if not isinstance(sys.stdout, _NoStdout):
+            _to_null_device(sys.stdout)
         _warn(f"error: cannot write output: {exc}")
         return EXIT_IOERR
     return code

@@ -10,19 +10,21 @@ Each function of the hierarchy is implemented twice:
       ack       = foldn (\\f -> foldn f (f 1)) (+1)
       knuth a   = foldn (\\f -> foldn f 1) (a*)
       cback     = foldr aux cpow
-          where aux o k = foldn aux2 (flip k o)
-                  where aux2 f = foldn (f . subtract 1) (k 0 o)
+          where aux o k = foldn (\\f -> foldn (f . subtract 1) (k 0 o))
+                                (flip k o)
 
-  Each is that term, written once: ``eval_ack_prim`` returns
-  ``foldn(layer, succ, m)(n)``, ``eval_knuth_prim`` returns
-  ``foldn(layer, times_a, n)(b)``, and a Conway carrier returns
-  ``foldn(aux2, flip_base, q)(p)``.  One step is charged per application
-  of a generator (``succ``, ``times_a``, ``cpow``) or transformer
-  (``layer``, ``aux``, ``aux2``) and per entry into a closure they build;
-  the ``f . subtract 1`` composition is free.  The innermost Knuth fold,
-  ``foldn (a*) 1 x = a^x``, is charged as one run of x multiplies
-  (:func:`~hyperfold.budget.mul_run`): x steps, the same peak and the same
-  trip point as x entries into ``times_a``, without the x closure calls.
+  All three are one tower, :func:`_tower`: ``foldn layer gen depth x``
+  with ``layer f = \\y -> foldn (step f) (start f) y``.  Ackermann passes
+  ``succ`` and ``start f = f 1``, Knuth ``times_a`` and ``start f = 1``, a
+  Conway carrier ``flip_base``, ``start f = k 0 o`` and ``step f = f .
+  subtract 1`` (free); ``step`` is otherwise the identity.  One step is
+  charged per application of a generator (``succ``, ``times_a``, ``cpow``)
+  or transformer (``layer``, ``aux``) and per entry into a closure they
+  build.  Fold fusion belongs to the generator: one that carries
+  ``iterate(v, c)`` runs ``foldn gen v c`` in closed form, charged as its c
+  applications.  Only ``times_a`` has one, so ``foldn (a*) 1 x = a^x`` is
+  one run of x multiplies (:func:`~hyperfold.budget.mul_run`) with the
+  steps, peak and trip point of x entries into ``times_a``.
   ``eval_conway_prim`` is the front end and hands its reduced chain to
   ``eval_cback_prim``.
 
@@ -83,6 +85,35 @@ def _ensure_depth(depth: int, meter: Meter) -> None:
         )
 
 
+def _tower(gen, depth, x, meter, start, step=None):
+    """``foldn layer gen depth x`` with ``layer f = \\y -> foldn (step f)
+    (start f) y``; ``start`` maps ``f`` to the layer's base and ``step``,
+    the identity by default, maps it to the folded function.
+
+    One step is charged per application of ``layer`` and per entry into a
+    function it builds.  A folded function that carries ``iterate(v, c)``,
+    its c-th iterate from v charged as its c applications (fold fusion),
+    runs that instead of c calls; ``layer`` looks it up once per
+    application, never once per step.
+    """
+    _ensure_depth(depth, meter)
+
+    def layer(f: Callable[[int], int]) -> Callable[[int], int]:
+        meter.spend()
+        h = f if step is None else step(f)
+        iterate = getattr(h, "iterate", None)
+
+        def g(y: int) -> int:
+            meter.spend()
+            if iterate is None:
+                return foldn(h, start(f), y)
+            return iterate(start(f), y)
+
+        return g
+
+    return foldn(layer, gen, depth)(x)
+
+
 # ---------------------------------------------------------------------------
 # Ackermann
 # ---------------------------------------------------------------------------
@@ -101,7 +132,6 @@ def eval_ack_prim(m: int, n: int, meter: Meter) -> int:
     n = _require_natural("n", n, meter)
     meter.note(m)
     meter.note(n)
-    _ensure_depth(m, meter)
 
     def succ(x: int) -> int:
         meter.spend()
@@ -109,17 +139,8 @@ def eval_ack_prim(m: int, n: int, meter: Meter) -> int:
         meter.note(v)
         return v
 
-    def layer(f: Callable[[int], int]) -> Callable[[int], int]:
-        # \f -> foldn f (f 1); one step per application of the transformer
-        meter.spend()
-
-        def g(x: int) -> int:
-            meter.spend()
-            return foldn(f, f(1), x)
-
-        return g
-
-    return foldn(layer, succ, m)(n)
+    # foldn (\f -> foldn f (f 1)) (+1) m n
+    return _tower(succ, m, n, meter, lambda f: f(1))
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +164,6 @@ def eval_knuth_prim(a: int, n: int, b: int, meter: Meter) -> int:
     meter.note(a)
     meter.note(b)
     meter.note(n)
-    _ensure_depth(n, meter)
 
     def times_a(x: int) -> int:
         meter.spend()
@@ -151,27 +171,12 @@ def eval_knuth_prim(a: int, n: int, b: int, meter: Meter) -> int:
         meter.note(v)
         return v
 
-    def power(x: int) -> int:
-        # layer(times_a) = \x -> foldn (a*) 1 x = a^x: one counted run of
-        # x multiplies
-        meter.spend()
-        return meter.settle(
-            mul_run(1, a, x, meter.max_steps, meter.max_digits, meter.steps, meter.peak)
-        )
-
-    def layer(f: Callable[[int], int]) -> Callable[[int], int]:
-        # \f -> foldn f 1
-        meter.spend()
-        if f is times_a:
-            return power
-
-        def g(x: int) -> int:
-            meter.spend()
-            return foldn(f, 1, x)
-
-        return g
-
-    return foldn(layer, times_a, n)(b)
+    # fold fusion: foldn (a*) v c = v * a^c, one counted run of c multiplies
+    times_a.iterate = lambda v, c: meter.settle(
+        mul_run(v, a, c, meter.max_steps, meter.max_digits, meter.steps, meter.peak)
+    )
+    # foldn (\f -> foldn f 1) (a*) n b
+    return _tower(times_a, n, b, meter, lambda f: 1)
 
 
 # ---------------------------------------------------------------------------
@@ -235,30 +240,18 @@ def eval_cback_prim(
         return checked_pow(p + 1, q + 1, meter)
 
     def aux(o: int, k: Callable[[int, int], int]) -> Callable[[int, int], int]:
-        # aux o k = foldn aux2 (flip k o)
+        # aux o k = foldn (\f -> foldn (f . subtract 1) (k 0 o)) (flip k o)
         meter.spend()
 
         def flip_base(p: int) -> int:
             meter.spend()
             return k(p, o)
 
-        def aux2(f: Callable[[int], int]) -> Callable[[int], int]:
-            # aux2 f = foldn (f . subtract 1) (k 0 o)
-            meter.spend()
-
-            def f_pred(v: int) -> int:
-                return f(v - 1)
-
-            def h(p: int) -> int:
-                meter.spend()
-                return foldn(f_pred, k(0, o), p)
-
-            return h
-
         def carrier(q: int, p: int) -> int:
             meter.spend()
-            _ensure_depth(q, meter)
-            return foldn(aux2, flip_base, q)(p)
+            return _tower(
+                flip_base, q, p, meter, lambda f: k(0, o), lambda f: lambda v: f(v - 1)
+            )
 
         return carrier
 

@@ -7,11 +7,13 @@ additionally gives the exact number of equation applications the rewrite
 evaluator must account for, and ``ack_literal_machine``,
 ``knuth_literal_machine`` and ``conway_literal_machine`` are the unshortcut
 work-stack rewriters used to pin down the production machines' accounting.
-``knuth_literal_prim`` is the fold form with no shortcut at all, one closure
-entry per multiply; it meters the package's own ``Meter``, so its trips,
-messages and stats compare exactly with ``knuth_prim``'s.  ``check_law``
-runs a law of the ``hyperfold.selftest`` catalogue and compares every value
-it yields with the oracle ``LAW_ORACLES`` gives the law.
+``ack_literal_prim`` and ``knuth_literal_prim`` are the fold forms with no
+shortcut at all, each its own closure tower with one closure entry per
+increment or multiply; they meter the package's own ``Meter``, so their
+trips, messages and stats compare exactly with ``ack_prim``'s and
+``knuth_prim``'s.  ``check_law`` runs a law of the ``hyperfold.selftest``
+catalogue and compares every value it yields with the oracle
+``LAW_ORACLES`` gives the law.
 """
 
 from __future__ import annotations
@@ -267,6 +269,35 @@ def conway_literal_machine(entries, max_steps, mag_limit, max_digits, steps0=0):
             frame_q.append(h0 - 1)
             frame_i.append(idx)
             h1 -= 1
+
+
+def ack_literal_prim(m: int, n: int, meter: Meter) -> int:
+    """``foldn (\\f -> foldn f (f 1)) (+1) m n`` with every increment its own
+    closure entry.  Same evaluator signature as ``eval_ack_prim``; run it
+    with ``run_budgeted``."""
+    m = _require_natural("m", m, meter)
+    n = _require_natural("n", n, meter)
+    meter.note(m)
+    meter.note(n)
+    _ensure_depth(m, meter)
+
+    def succ(x: int) -> int:
+        meter.spend()
+        v = x + 1
+        meter.note(v)
+        return v
+
+    def layer(f: Callable[[int], int]) -> Callable[[int], int]:
+        # \f -> foldn f (f 1)
+        meter.spend()
+
+        def g(x: int) -> int:
+            meter.spend()
+            return foldn(f, f(1), x)
+
+        return g
+
+    return foldn(layer, succ, m)(n)
 
 
 def knuth_literal_prim(a: int, n: int, b: int, meter: Meter) -> int:

@@ -268,6 +268,31 @@ def test_full_stdout_ends_with_one_line_and_exit_74(args, stdin):
     assert len(proc.stderr.splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "args, stdin, code, line",
+    [
+        (["eval", "2"], None, 74, "error: cannot write output: "),
+        (["repl"], "2\n", 74, "error: cannot write output: "),
+        (["eval", "3->"], None, 2, "parse error (offset 3): "),
+    ],
+    ids=["eval", "repl", "parse-error"],
+)
+def test_no_stdout_at_all_is_a_stdout_that_refuses_writes(args, stdin, code, line):
+    # started with stdout closed (``>&-``): as with >/dev/full, a value to
+    # print ends with exit 74 and one stderr line, a parse error with exit 2
+    proc = subprocess.run(
+        ["sh", "-c", 'exec "$@" >&-', "sh", *CLI, *args],
+        input=stdin,
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == code
+    assert proc.stderr.startswith(line)
+    assert len(proc.stderr.splitlines()) == 1
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
 @pytest.mark.parametrize(
     "args, stdin, code, out",

@@ -24,6 +24,7 @@ from hyperfold.hyperops import (
     conway_prim,
     conway_ref,
     cpow,
+    eval_ack_prim,
     eval_knuth_prim,
     knuth_prim,
     knuth_ref,
@@ -164,6 +165,37 @@ def test_ack_rejects_bad_arguments():
 def test_ack_prim_depth_guard():
     with pytest.raises(ConstructionLimit):
         ack_prim(10**5, 0, B)
+
+
+ACK_PRIM_STEPS = (1, 2, 3, 5, 8, 13, 21, 34, 100, 300, 1000, 3000, 10**4, 3 * 10**4)
+ACK_PRIM_DIGITS = (1, 2, 3, 4, 100)
+
+
+def test_ack_prim_matches_literal_grid():
+    # the fold form runs the shared tower; every value, trip, message and
+    # stats must be those of its own unshared closure tower
+    compared = 0
+    for max_steps, max_digits in itertools.product(ACK_PRIM_STEPS, ACK_PRIM_DIGITS):
+        budget = Budget(max_steps, max_digits)
+        for m, n in itertools.product(range(5), range(9)):
+            want = _outcome(_oracles.ack_literal_prim, m, n, budget=budget)
+            got = _outcome(eval_ack_prim, m, n, budget=budget)
+            assert got == want, (m, n, max_steps, max_digits)
+            compared += 1
+    assert compared == 3150
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 4),
+    st.integers(0, 10**4),
+    st.integers(1, 20_000),
+    st.integers(1, 400),
+)
+def test_ack_prim_matches_literal_sampled(m, n, max_steps, max_digits):
+    budget = Budget(max_steps, max_digits)
+    want = _outcome(_oracles.ack_literal_prim, m, n, budget=budget)
+    assert _outcome(eval_ack_prim, m, n, budget=budget) == want
 
 
 # --- Knuth up-arrows -------------------------------------------------------
@@ -490,6 +522,19 @@ PRIMITIVE_ACCOUNTING = [
         Budget(max_steps=10**7, max_digits=5),
         (MagnitudeExceeded, 28, 2),
     ),
+    # the carrier's own depth guard, step trips inside a carrier's layer,
+    # and the deepest carrier
+    (cback_prim, ((1,), 1201, 0), B, (ConstructionLimit, 2, 4)),
+    (cback_prim, ((1,), 1200, 0), Budget(max_steps=50), (BudgetExceeded, 50, 4)),
+    # (a list tail: the tuple's test id is the digit trip's below)
+    (cback_prim, ([2], 2, 2), Budget(max_steps=30), (BudgetExceeded, 30, 13)),
+    (
+        cback_prim,
+        ((1, 1), 2, 1),
+        Budget(max_steps=40, max_digits=2),
+        (BudgetExceeded, 40, 1),
+    ),
+    (cback_prim, ((1,), 1200, 1), B, (4, 4806, 4)),
     # the depth guard comes before the subtract-one pass is charged
     (conway_prim, ((2,) * 1201,), Budget(max_steps=10), (ConstructionLimit, 0, 1)),
 ]
@@ -504,23 +549,22 @@ def test_primitive_accounting_is_exact(fn, args, budget, want):
     assert _accounting(fn, args, budget) == want
 
 
-#: one deep call of every public evaluator; every fold form raises the
-#: recursion limit while it runs
-DEEP_CALLS = [
-    (ack_ref, (4, 1)),
-    (ack_prim, (1100, 0)),
-    (knuth_ref, (3, 3, 3)),
-    (knuth_prim, (2, 1100, 1)),
-    (conway_ref, ((3, 3, 3),)),
-    (conway_prim, ((2,) * 1100,)),
-    (cback_prim, ((1,) * 1100, 1, 1)),
-    (cpow, (99999, 1)),
-]
+#: one deep call of every public evaluator, by test id; every fold form
+#: raises the recursion limit while it runs
+DEEP_CALLS = {
+    "ack_ref": (ack_ref, (4, 1)),
+    "ack_prim": (ack_prim, (1100, 0)),
+    "knuth_ref": (knuth_ref, (3, 3, 3)),
+    "knuth_prim": (knuth_prim, (2, 1100, 1)),
+    "conway_ref": (conway_ref, ((3, 3, 3),)),
+    "conway_prim": (conway_prim, ((2,) * 1100,)),
+    "cback_prim": (cback_prim, ((1,) * 1100, 1, 1)),
+    "cback_prim-deepest-carrier": (cback_prim, ((1,), 1200, 1)),
+    "cpow": (cpow, (99999, 1)),
+}
 
 
-@pytest.mark.parametrize(
-    "fn, args", DEEP_CALLS, ids=[fn.__name__ for fn, _ in DEEP_CALLS]
-)
+@pytest.mark.parametrize("fn, args", DEEP_CALLS.values(), ids=list(DEEP_CALLS))
 def test_public_evaluators_leave_interpreter_limits_unchanged(fn, args):
     caller_limit = sys.getrecursionlimit()
     caller_cap = sys.get_int_max_str_digits()
