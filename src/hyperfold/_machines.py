@@ -119,12 +119,22 @@ def knuth_machine(a, n0, b, max_steps, max_digits, steps0=0):
     """Extended up-arrow by its rewrite equations, level 0 one multiply:
     :func:`_tower` with offset 0 on :func:`~hyperfold.budget.mul_run`, which
     finds a run's trip point in closed form, as the fold form's innermost
-    fold does.  It holds at most n0 + 1 runs."""
+    fold does.  It holds at most n0 + 1 runs.
+
+    For a = 1 and n0 >= 1 every value is 1, and the rules take exactly
+    ``2 * n0 * b + 1`` steps (a level-k frame at 1 is 2k + 1 of them), so
+    they are charged at once rather than one loop pass per frame."""
+
+    peak = max(a, n0, b)
+    if a == 1 and n0 and not reaches_cap(peak, max_digits):
+        steps = steps0 + 2 * n0 * b + 1
+        if steps > max_steps:
+            return (TRIP_STEPS, 0, max_steps, peak)
+        return (OK, 1, steps, peak)
 
     def times_a(val, count, *budget):
         return mul_run(val, a, count, *budget)
 
-    peak = max(a, n0, b)
     return _tower(n0, b, times_a, 0, max_steps, max_digits, steps0, peak)
 
 

@@ -238,14 +238,74 @@ def count_text(n: int) -> str:
 _str_digits_cap = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 
+#: a value of more bits than this (about 9,900 digits) renders by
+#: :func:`_split_to_decimal`; below it ``str()`` is faster
+_SPLIT_BITS = 2**15
+#: the pieces :func:`_split_to_decimal` converts directly
+_LEAF_BITS = 2048
+
+
 def int_to_decimal(value: int) -> str:
     """Plain decimal rendering of a non-negative integer.
 
-    Values longer than the interpreter's int->str cap are split by powers
-    of ten, divide and conquer, into pieces within it.
+    A value of more than :data:`_SPLIT_BITS` bits renders in subquadratic
+    time by :func:`_split_to_decimal`.  A smaller one is ``str(value)``,
+    split by powers of ten, divide and conquer, into pieces within the
+    interpreter's int->str cap when it is longer than that cap.
     """
+    if value.bit_length() > _SPLIT_BITS:
+        return _split_to_decimal(value)
     cap = _str_digits_cap()
     return str(value) if cap == 0 else _to_decimal(value, cap)
+
+
+def _split_to_decimal(value: int) -> str:
+    """``str(value)`` in subquadratic time, for a non-negative value.
+
+    The value is split by bit shifts, recursively, into pieces of at most
+    :data:`_LEAF_BITS` bits; each piece becomes an exact ``Decimal``, and
+    the pieces are joined as ``hi * 2**h + lo`` by libmpdec's fast
+    multiplication (the method of CPython 3.12's ``Lib/_pylong.py``).  All
+    arithmetic runs in a private context wide enough to be exact, with
+    ``Inexact`` trapped, so a lost digit raises rather than prints; the
+    thread's decimal context and the int<->str cap are never read or set.
+    The ``Decimal`` powers of two live for this call only.
+    """
+    import decimal
+
+    ctx = decimal.Context(
+        prec=decimal.MAX_PREC,
+        Emax=decimal.MAX_EMAX,
+        Emin=decimal.MIN_EMIN,
+        traps=[decimal.Inexact],
+    )
+    powers = {}
+
+    def two_to(bits):
+        power = powers.get(bits)
+        if power is None:
+            if bits <= _LEAF_BITS:
+                power = decimal.Decimal(1 << bits, ctx)
+            elif bits - 1 in powers:
+                power = ctx.add(powers[bits - 1], powers[bits - 1])
+            else:
+                half = bits >> 1
+                power = ctx.multiply(two_to(half), two_to(bits - half))
+            powers[bits] = power
+        return power
+
+    def join(n, bits):
+        if bits <= _LEAF_BITS:
+            return decimal.Decimal(n, ctx)
+        low_bits = bits >> 1
+        high = n >> low_bits
+        low = n - (high << low_bits)
+        return ctx.add(
+            ctx.multiply(join(high, bits - low_bits), two_to(low_bits)),
+            join(low, low_bits),
+        )
+
+    return ctx.to_sci_string(join(value, value.bit_length()))
 
 
 def _to_decimal(value: int, cap: int) -> str:

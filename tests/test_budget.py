@@ -1,5 +1,6 @@
 import itertools
 import random
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -327,6 +328,49 @@ def test_decimal_conversion_in_pieces_under_the_smallest_cap():
         assert sys.get_int_max_str_digits() == 640
     finally:
         sys.set_int_max_str_digits(caller_cap)
+
+
+#: run in a child process, whose int->str cap it lifts: prints every value
+#: that renders unlike str(), then "checked <count>"
+_SPLIT_RENDER_PIN = """
+import random, sys
+from hyperfold.budget import (
+    _LEAF_BITS, _SPLIT_BITS, _from_decimal, _split_to_decimal, int_to_decimal
+)
+sys.set_int_max_str_digits(0)
+rng = random.Random(14)
+sizes = sorted({round(10 ** (i / 4)) for i in range(21)})  # 1 to 10**5 digits
+values = [rng.randrange(10 ** (n - 1), 10**n) for n in sizes]
+for k in (_LEAF_BITS - 1, _LEAF_BITS, _LEAF_BITS + 1, 2 * _LEAF_BITS,
+          _SPLIT_BITS - 1, _SPLIT_BITS, _SPLIT_BITS + 1, 2 * _SPLIT_BITS):
+    values += [2**k - 1, 2**k, 2**k + 1]
+for k in (1, 617, 9864, 9865, 30000):
+    values += [10**k - 1, 10**k, 10**k + 1]
+values += [0, 2**65536]  # every low binary piece of 2**65536 is zero
+checked = 0
+for value in values:
+    text = str(value)
+    if int_to_decimal(value) != text or _split_to_decimal(value) != text:
+        print(value.bit_length())
+    checked += 1
+# str() of 10**6 digits takes about 11 s; this value is built from its text
+# by the power-of-ten parser instead, which is pinned against int()
+text = str(rng.randrange(1, 10)) + "".join(rng.choices("0123456789", k=10**6 - 1))
+if int_to_decimal(_from_decimal(text, 4300)) != text:
+    print("10**6 digits")
+print("checked", checked + 1)
+"""
+
+
+def test_split_rendering_matches_str():
+    proc = subprocess.run(
+        [sys.executable, "-c", _SPLIT_RENDER_PIN],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "checked 63\n"
 
 
 def test_decimal_render_and_parse_large():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperfold import cli
+from hyperfold import budget, cli
 from hyperfold.budget import Budget, ConstructionLimit, EvalStats
 from hyperfold.notation import FORMS, evaluate, parse
 
@@ -160,15 +160,16 @@ def test_primitive_multiply_runs_trip_within_a_second(text, stats):
 
 
 def test_cli_imports_the_selftest_suites_only_for_selftest():
-    # nor dataclasses and the inspect module it pulls in; argparse, which
-    # every command needs, is imported with cli itself
-    names = ["hyperfold.selftest", "dataclasses", "inspect", "argparse"]
+    # nor dataclasses and the inspect module it pulls in, nor decimal, which
+    # only a big value's rendering needs; argparse, which every command
+    # needs, is imported with cli itself
+    names = ["hyperfold.selftest", "dataclasses", "inspect", "decimal", "argparse"]
     probe = f"import sys, hyperfold.cli; print([n in sys.modules for n in {names}])"
     proc = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[False, False, False, True]\n"
+    assert proc.stdout == "[False, False, False, False, True]\n"
     assert run_cli("selftest", "quick").returncode == 0
 
 
@@ -410,6 +411,27 @@ def test_evaluation_out_of_memory_is_a_construction_limit(
     assert (code, out) == (cli.EXIT_DOMAIN, "")
     assert err == (
         f"construction: evaluation ran out of memory\nsteps={steps} peak_digits=1\n"
+    )
+
+
+def test_out_of_memory_inside_the_split_rendering_is_a_construction_limit(
+    monkeypatch,
+):
+    # the real int_to_decimal runs and takes its split branch for 2**65536
+    _, stats = evaluate(parse("2^^5"), "both", Budget())
+    split = []
+
+    def split_out_of_memory(value):
+        split.append(value.bit_length())
+        raise MemoryError
+
+    monkeypatch.setattr(budget, "_split_to_decimal", split_out_of_memory)
+    code, out, err = _run_eval_captured("2^^5", cli.Config())
+    assert split == [65537]
+    assert (code, out) == (cli.EXIT_DOMAIN, "")
+    assert err == (
+        "construction: rendering the value ran out of memory\n"
+        f"steps={stats.steps_used} peak_digits=19729\n"
     )
 
 

@@ -1,4 +1,5 @@
 import itertools
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -243,6 +244,31 @@ def test_knuth_machine_matches_literal_grid(steps0):
                 want = _oracles.knuth_literal_machine(a, n, b, max_steps, mag, steps0)
                 got = knuth_machine(a, n, b, max_steps, max_digits, steps0)
                 assert got == want, (a, n, b, max_steps, max_digits, steps0)
+
+
+def test_knuth_machine_at_a_one_matches_literal():
+    # every value is 1, and the machine charges the 2nb+1 steps at once
+    for n, b in itertools.product(range(1, 7), range(30)):
+        for max_steps in (1, 2, 3, 5, 10, 50, 300, 5000):
+            for max_digits, steps0 in ((1, 1), (1, 7), (2, 40)):
+                mag = 10**max_digits
+                want = _oracles.knuth_literal_machine(1, n, b, max_steps, mag, steps0)
+                got = knuth_machine(1, n, b, max_steps, max_digits, steps0)
+                assert got == want, (n, b, max_steps, max_digits, steps0)
+
+
+def test_knuth_at_a_one_costs_no_loop_pass_per_step():
+    # 1.6 * 10**10 rewrites, which one pass per frame would take hours over
+    probe = (
+        "from hyperfold.budget import Budget; from hyperfold.hyperops import "
+        "knuth_ref; print(knuth_ref(1, 8, 10**9, Budget(max_steps=10**11)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=30
+    )
+    assert proc.returncode == 0, proc.stderr
+    want = "(1, EvalStats(steps_used=16000000001, peak_digits=10))\n"
+    assert proc.stdout == want
 
 
 _knuth_entry = st.one_of(st.integers(0, 12), st.integers(0, 10**6))
@@ -526,7 +552,8 @@ PRIMITIVE_ACCOUNTING = [
     # and the deepest carrier
     (cback_prim, ((1,), 1201, 0), B, (ConstructionLimit, 2, 4)),
     (cback_prim, ((1,), 1200, 0), Budget(max_steps=50), (BudgetExceeded, 50, 4)),
-    # (a list tail: the tuple's test id is the digit trip's below)
+    # (a list tail: as a tuple it would make the digit trip's call below,
+    # and both ids would change)
     (cback_prim, ([2], 2, 2), Budget(max_steps=30), (BudgetExceeded, 30, 13)),
     (
         cback_prim,
@@ -540,10 +567,23 @@ PRIMITIVE_ACCOUNTING = [
 ]
 
 
+def _accounting_ids(cases):
+    """Each case by its call, and by its budget's steps and digits too when
+    another case makes the same call, so that no id is numbered by its
+    place in the list."""
+    names = [f"{fn.__name__}{args!r:.40}" for fn, args, _, _ in cases]
+    return [
+        name
+        if names.count(name) == 1
+        else f"{name}-steps={budget.max_steps}-digits={budget.max_digits}"
+        for name, (_, _, budget, _) in zip(names, cases)
+    ]
+
+
 @pytest.mark.parametrize(
     "fn, args, budget, want",
     PRIMITIVE_ACCOUNTING,
-    ids=[f"{fn.__name__}{args!r:.40}" for fn, args, _, _ in PRIMITIVE_ACCOUNTING],
+    ids=_accounting_ids(PRIMITIVE_ACCOUNTING),
 )
 def test_primitive_accounting_is_exact(fn, args, budget, want):
     assert _accounting(fn, args, budget) == want

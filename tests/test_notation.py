@@ -1,3 +1,4 @@
+import decimal
 import sys
 
 import pytest
@@ -242,12 +243,22 @@ def test_big_values_leave_interpreter_limits_unchanged():
     sys.set_int_max_str_digits(4300)
     sys.setrecursionlimit(2000)
     try:
-        value, _ = evaluate(parse("2^^5"), "both", B)
-        text = render(NatLit(value))
-        assert len(text) == 19729 and text.startswith("200352993")
-        literal = "9" * 20_000
-        assert parse(literal) == NatLit(10**20_000 - 1)
-        assert int_to_decimal(evaluate(parse(literal), "both", B)[0]) == literal
+        with decimal.localcontext() as context:
+            # both values render past the size where decimal takes over
+            context.prec = 7
+            context.traps[decimal.Inexact] = True
+            context.traps[decimal.DivisionByZero] = False
+            context.flags[decimal.Rounded] = True
+            traps, flags = dict(context.traps), dict(context.flags)
+            value, _ = evaluate(parse("2^^5"), "both", B)
+            text = render(NatLit(value))
+            assert len(text) == 19729 and text.startswith("200352993")
+            literal = "9" * 20_000
+            assert parse(literal) == NatLit(10**20_000 - 1)
+            assert int_to_decimal(evaluate(parse(literal), "both", B)[0]) == literal
+            assert decimal.getcontext() is context
+            assert context.prec == 7
+            assert (dict(context.traps), dict(context.flags)) == (traps, flags)
         assert sys.get_int_max_str_digits() == 4300
         assert sys.getrecursionlimit() == 2000
     finally:
