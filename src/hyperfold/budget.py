@@ -17,7 +17,7 @@ within a couple of bits of it, never up front, so a budget costs nothing
 until work is done, whatever its cap.  Digit counts and the cap answer "how
 many decimal digits?" the same way: one log2(10) bracket on the bit length,
 then at most one power of ten from one bounded cache, which the decimal
-converters share.
+parser shares.
 
 Two ways to charge, one protocol.  The fold forms charge a :class:`Meter`
 directly (``spend``, ``note``).  The rewrite machines keep local counters
@@ -40,6 +40,11 @@ the step budget.  :func:`add_run`, ``val + count`` one step per increment,
 is the same for Ackermann's successor: the reference machine's level-0
 runs call it.
 
+:func:`int_to_decimal` and :func:`decimal_to_int` are the one place an int
+becomes text or text an int: neither reads the interpreter's int<->str cap,
+and both give exact digits under any cap.  Messages and reprs show ints
+through :func:`value_text`, so none fails on a value past the cap.
+
 :class:`Record` is the frozen value class of :class:`Budget`,
 :class:`EvalStats`, the syntax nodes and the CLI's configuration.
 """
@@ -47,7 +52,6 @@ runs call it.
 from __future__ import annotations
 
 import functools
-import sys
 from math import log
 
 #: log2(10) lies strictly between _LOG2_10_NUM / _LOG2_10_DEN and
@@ -89,7 +93,8 @@ class Record:
 
     def __repr__(self):
         fields = ", ".join(
-            f"{name}={getattr(self, name)!r}" for name in self.__match_args__
+            f"{name}={value_text(getattr(self, name))}"
+            for name in self.__match_args__
         )
         return f"{self.__class__.__qualname__}({fields})"
 
@@ -190,7 +195,7 @@ def decimal_digits(value: int) -> int:
 
 
 #: powers of ten kept for digit counts, the digit cap and the decimal
-#: converters: bounded, so that a long session holds the sizes it saw last,
+#: parser: bounded, so that a long session holds the sizes it saw last,
 #: not every size it ever saw
 _POW10_CACHE_SIZE = 64
 
@@ -233,30 +238,34 @@ def count_text(n: int) -> str:
     return str(n) if digits <= 18 else f"a {digits}-digit number of"
 
 
-#: the interpreter's int<->str digit cap, read on every conversion and never
-#: changed (0 means no cap; interpreters that predate the cap have none)
-_str_digits_cap = getattr(sys, "get_int_max_str_digits", lambda: 0)
-
-
 #: a value of more bits than this (about 9,900 digits) renders by
 #: :func:`_split_to_decimal`; below it ``str()`` is faster
 _SPLIT_BITS = 2**15
 #: the pieces :func:`_split_to_decimal` converts directly
 _LEAF_BITS = 2048
+#: the longest digit run :func:`decimal_to_int` hands to ``int()``: the
+#: least int<->str cap CPython accepts (``str_digits_check_threshold``)
+_PARSE_DIGITS = 640
 
 
 def int_to_decimal(value: int) -> str:
-    """Plain decimal rendering of a non-negative integer.
+    """Plain decimal rendering of an integer under any int<->str cap:
+    ``str(value)`` up to :data:`_SPLIT_BITS` bits unless the cap refuses
+    it, else the subquadratic :func:`_split_to_decimal`."""
+    if value < 0:
+        return "-" + int_to_decimal(-value)
+    if value.bit_length() <= _SPLIT_BITS:
+        try:
+            return str(value)
+        except ValueError:  # past the int->str cap
+            pass
+    return _split_to_decimal(value)
 
-    A value of more than :data:`_SPLIT_BITS` bits renders in subquadratic
-    time by :func:`_split_to_decimal`.  A smaller one is ``str(value)``,
-    split by powers of ten, divide and conquer, into pieces within the
-    interpreter's int->str cap when it is longer than that cap.
-    """
-    if value.bit_length() > _SPLIT_BITS:
-        return _split_to_decimal(value)
-    cap = _str_digits_cap()
-    return str(value) if cap == 0 else _to_decimal(value, cap)
+
+def value_text(value) -> str:
+    """An int in full by :func:`int_to_decimal`, anything else by its
+    repr: the one way a message or repr shows a value."""
+    return int_to_decimal(value) if type(value) is int else repr(value)
 
 
 def _split_to_decimal(value: int) -> str:
@@ -308,30 +317,16 @@ def _split_to_decimal(value: int) -> str:
     return ctx.to_sci_string(join(value, value.bit_length()))
 
 
-def _to_decimal(value: int, cap: int) -> str:
-    if value < _pow10(cap):
-        return str(value)
-    width = cap
-    while _pow10(2 * width) <= value:
-        width *= 2
-    high, low = divmod(value, _pow10(width))
-    return _to_decimal(high, cap) + _to_decimal(low, cap).zfill(width)
-
-
 def decimal_to_int(text: str) -> int:
-    """Parse a decimal digit run, in pieces within the str->int cap."""
-    cap = _str_digits_cap()
-    return int(text) if cap == 0 else _from_decimal(text, cap)
-
-
-def _from_decimal(text: str, cap: int) -> int:
-    if len(text) <= cap:
+    """Parse a decimal digit run under any int<->str cap, split by powers of
+    ten into pieces of at most :data:`_PARSE_DIGITS` digits."""
+    if len(text) <= _PARSE_DIGITS:
         return int(text)
-    width = cap
+    width = _PARSE_DIGITS
     while 2 * width < len(text):
         width *= 2
-    high = _from_decimal(text[:-width], cap)
-    return high * _pow10(width) + _from_decimal(text[-width:], cap)
+    high = decimal_to_int(text[:-width])
+    return high * _pow10(width) + decimal_to_int(text[-width:])
 
 
 class Meter:
@@ -386,15 +381,15 @@ class Meter:
         return EvalStats(steps_used=self.steps, peak_digits=decimal_digits(self.peak))
 
     def _step_trip(self) -> BudgetExceeded:
+        limit = int_to_decimal(self.max_steps)
         return BudgetExceeded(
-            f"step budget exhausted (max_steps={self.max_steps})", self.stats()
+            f"step budget exhausted (max_steps={limit})", self.stats()
         )
 
     def _magnitude_trip(self) -> MagnitudeExceeded:
+        cap = int_to_decimal(self.max_digits)
         return MagnitudeExceeded(
-            f"value exceeds {self.max_digits} digits "
-            f"(max_digits={self.max_digits})",
-            self.stats(),
+            f"value exceeds {cap} digits (max_digits={cap})", self.stats()
         )
 
 

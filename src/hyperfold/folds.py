@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Callable, Sequence, TypeVar
 
-from .budget import ConstructionLimit
+from .budget import ConstructionLimit, value_text
 
 A = TypeVar("A")
 B = TypeVar("B")
@@ -39,7 +39,7 @@ def foldn(step: Callable[[A], A], base: A, n: int) -> A:
     foldn g e n == g (foldn g e (n - 1))   (n > 0)
     """
     if n < 0:
-        raise ValueError(f"foldn index must be non-negative, got {n}")
+        raise ValueError(f"foldn index must be non-negative, got {value_text(n)}")
     acc = base
     remaining = n
     while remaining > 0:
@@ -107,10 +107,11 @@ def church_succ(x: ChurchNat) -> ChurchNat:
 def church_from_natural(n: int, cap: int = DEFAULT_CHURCH_CAP) -> ChurchNat:
     """Iterated ``church_succ``, refused beyond ``cap`` layers."""
     if n < 0:
-        raise ValueError(f"cannot encode a negative number, got {n}")
+        raise ValueError(f"cannot encode a negative number, got {value_text(n)}")
     if n > cap:
         raise ConstructionLimit(
-            f"numeral of depth {n} exceeds the construction cap {cap}"
+            f"numeral of depth {value_text(n)} exceeds the construction cap "
+            f"{value_text(cap)}"
         )
     return foldn(church_succ, _ZERO, n)
 

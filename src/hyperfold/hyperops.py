@@ -52,6 +52,7 @@ from .budget import (
     checked_pow,
     count_text,
     mul_run,
+    value_text,
 )
 from .folds import foldn, foldr_seq
 
@@ -189,7 +190,8 @@ def _checked_chain(entries: Sequence[int], meter: Meter) -> Chain:
     for e in chain:
         if not isinstance(e, int) or isinstance(e, bool) or e < 1:
             raise DomainError(
-                f"chain entries must be integers >= 1, got {e!r}", meter.stats()
+                f"chain entries must be integers >= 1, got {value_text(e)}",
+                meter.stats(),
             )
     return chain
 

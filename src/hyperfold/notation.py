@@ -28,6 +28,7 @@ from .budget import (
     Record,
     decimal_to_int,
     int_to_decimal,
+    value_text,
 )
 from .hyperops import (
     DEFAULT_BUDGET,
@@ -339,7 +340,7 @@ def render(e: Expr) -> str:
             return "->".join(_atomic(item) for item in items)
         case ConwayCall(items):
             return f"conway({','.join(render(item) for item in items)})"
-    raise TypeError(f"not an expression: {e!r}")
+    raise TypeError(f"not an expression: {value_text(e)}")
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +365,7 @@ def _eval_node(e: Expr, prim: bool, meter: Meter) -> int:
         case ChainE(items) | ConwayCall(items):
             entries = [_eval_node(item, prim, meter) for item in items]
             return (eval_conway_prim if prim else eval_conway_ref)(entries, meter)
-    raise TypeError(f"not an expression: {e!r}")
+    raise TypeError(f"not an expression: {value_text(e)}")
 
 
 def evaluate(

@@ -335,7 +335,7 @@ def test_decimal_conversion_in_pieces_under_the_smallest_cap():
 _SPLIT_RENDER_PIN = """
 import random, sys
 from hyperfold.budget import (
-    _LEAF_BITS, _SPLIT_BITS, _from_decimal, _split_to_decimal, int_to_decimal
+    _LEAF_BITS, _SPLIT_BITS, _split_to_decimal, decimal_to_int, int_to_decimal
 )
 sys.set_int_max_str_digits(0)
 rng = random.Random(14)
@@ -356,7 +356,7 @@ for value in values:
 # str() of 10**6 digits takes about 11 s; this value is built from its text
 # by the power-of-ten parser instead, which is pinned against int()
 text = str(rng.randrange(1, 10)) + "".join(rng.choices("0123456789", k=10**6 - 1))
-if int_to_decimal(_from_decimal(text, 4300)) != text:
+if int_to_decimal(decimal_to_int(text)) != text:
     print("10**6 digits")
 print("checked", checked + 1)
 """
@@ -371,6 +371,99 @@ def test_split_rendering_matches_str():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "checked 63\n"
+
+
+#: run in a child process with the int->str cap given as its argument and a
+#: ``sys.get_int_max_str_digits`` that raises: prints every conversion,
+#: message or repr that does not hold its value's exact digits, then
+#: "checked <count>"
+_SINGLE_OWNER_PIN = """
+import random, sys
+sys.set_int_max_str_digits(0)
+rng = random.Random(15)
+sizes = (641, 642, 1000, 4300, 4301, 4340, 5000, 9000, 9900, 10**4, 30000, 10**5)
+texts = [
+    str(rng.randrange(1, 10)) + "".join(rng.choices("0123456789", k=n - 1))
+    for n in sizes
+]
+values = [int(text) for text in texts]
+sys.set_int_max_str_digits(int(sys.argv[1]))
+
+
+def refuse():
+    raise AssertionError("the int->str cap was read")
+
+
+sys.get_int_max_str_digits = refuse
+
+from hyperfold.budget import Budget, EvalStats, decimal_to_int, int_to_decimal
+from hyperfold.folds import church_from_natural, foldn
+from hyperfold.hyperops import ack_ref, conway_ref
+from hyperfold.notation import evaluate, parse, render
+
+checked = 0
+
+
+def check(got, want, what):
+    global checked
+    checked += 1
+    if got != want:
+        print(what)
+
+
+for text, value in zip(texts, values):
+    check(decimal_to_int(text), value, f"parse {len(text)}")
+    check(int_to_decimal(value), text, f"render {len(text)}")
+    check(int_to_decimal(-value), "-" + text, f"render -{len(text)}")
+huge = "1" + "0" * 5000  # 10**5000
+trip = f"value exceeds {huge} digits (max_digits={huge})"
+probes = [
+    (lambda: conway_ref([-(10**5000)]), "DomainError",
+     "chain entries must be integers >= 1, got -" + huge),
+    (lambda: conway_ref([2, 10**6000], Budget(max_digits=10**5000)),
+     "MagnitudeExceeded", trip),
+    (lambda: evaluate(parse("2->" + "9" * 6000), "both", Budget(max_digits=10**5000)),
+     "MagnitudeExceeded", trip),
+    (lambda: ack_ref(3, 10**4400, Budget(max_steps=10**4400)), "BudgetExceeded",
+     "step budget exhausted (max_steps=1" + "0" * 4400 + ")"),
+    (lambda: church_from_natural(10**5000), "ConstructionLimit",
+     f"numeral of depth {huge} exceeds the construction cap 1000000"),
+    (lambda: church_from_natural(-(10**5000)), "ValueError",
+     "cannot encode a negative number, got -" + huge),
+    (lambda: foldn(abs, 0, -(10**5000)), "ValueError",
+     "foldn index must be non-negative, got -" + huge),
+    (lambda: render(10**5000), "TypeError", "not an expression: " + huge),
+    (lambda: evaluate(10**5000), "TypeError", "not an expression: " + huge),
+]
+for probe, kind, message in probes:
+    try:
+        probe()
+        got = None
+    except Exception as exc:
+        got = (type(exc).__name__, str(exc))
+    check(got, (kind, message), message[:40])
+check(repr(parse("9" * 5000)), "NatLit(value=" + "9" * 5000 + ")", "NatLit repr")
+check(repr(Budget(max_steps=10**5000)),
+      f"Budget(max_steps={huge}, max_digits=100000)", "Budget repr")
+check(repr(EvalStats(10**5000, 5001)),
+      f"EvalStats(steps_used={huge}, peak_digits=5001)", "EvalStats repr")
+print("checked", checked)
+"""
+
+
+@pytest.mark.parametrize("cap", [640, 4300])
+def test_integer_text_never_reads_the_int_str_cap(cap):
+    # every int becomes text, and text an int, through int_to_decimal and
+    # decimal_to_int, which hold exact digits under any cap; past the cap a
+    # message still ends in its own error, not the cap's ValueError
+    proc = subprocess.run(
+        [sys.executable, "-c", _SINGLE_OWNER_PIN, str(cap)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "checked 48\n"
 
 
 def test_decimal_render_and_parse_large():
