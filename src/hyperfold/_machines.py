@@ -121,20 +121,16 @@ def knuth_machine(a, n0, b, max_steps, max_digits, steps0=0):
     finds a run's trip point in closed form, as the fold form's innermost
     fold does.  It holds at most n0 + 1 runs.
 
-    For a <= 1 and n0 + a >= 2 the rules are charged at once, not one
-    loop pass per frame.  The level-n0 frame at b takes b + 1 steps of its
-    own and applies a level-(n0 - 1) frame b times, starting from 1.  That
-    frame takes 2 * n0 - 1 steps from 1 and yields a; from 0 (a = 0 only)
-    it takes one step and yields 1.  So every value is 1 at a = 1, and the
-    values alternate 1, 0, 1, ... at a = 0."""
+    For a = 1 and n0 >= 1 every value is 1, and the rules take exactly
+    ``2 * n0 * b + 1`` steps (a level-k frame at 1 is 2k + 1 of them), so
+    they are charged at once rather than one loop pass per frame."""
 
     peak = max(a, n0, b)
-    if a <= 1 and n0 + a >= 2 and not reaches_cap(peak, max_digits):
-        ones = b if a else (b + 1) // 2
-        steps = steps0 + b + 1 + (2 * n0 - 1) * ones + (b - ones)
+    if a == 1 and n0 and not reaches_cap(peak, max_digits):
+        steps = steps0 + 2 * n0 * b + 1
         if steps > max_steps:
             return (TRIP_STEPS, 0, max_steps, peak)
-        return (OK, 1 if a or b % 2 == 0 else 0, steps, peak)
+        return (OK, 1, steps, peak)
 
     def times_a(val, count, *budget):
         return mul_run(val, a, count, *budget)

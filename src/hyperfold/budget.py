@@ -40,10 +40,9 @@ the step budget.  :func:`add_run`, ``val + count`` one step per increment,
 is the same for Ackermann's successor: the reference machine's level-0
 runs call it.
 
-:func:`int_to_decimal` and :func:`decimal_to_int` are the one place an int
-becomes text or text an int: neither reads the interpreter's int<->str cap,
-and both give exact digits under any cap.  Messages and reprs show ints
-through :func:`value_text`, so none fails on a value past the cap.
+:func:`int_to_decimal` and :func:`decimal_to_int` own integer text and never
+read the interpreter's int<->str cap; messages and reprs show ints through
+:func:`value_text` or :func:`count_text`, so none fails past the cap.
 
 :class:`Record` is the frozen value class of :class:`Budget`,
 :class:`EvalStats`, the syntax nodes and the CLI's configuration.
@@ -93,8 +92,7 @@ class Record:
 
     def __repr__(self):
         fields = ", ".join(
-            f"{name}={value_text(getattr(self, name))}"
-            for name in self.__match_args__
+            f"{n}={value_text(getattr(self, n))}" for n in self.__match_args__
         )
         return f"{self.__class__.__qualname__}({fields})"
 
@@ -233,7 +231,7 @@ def reaches_cap(value: int, max_digits: int) -> bool:
 
 def count_text(n: int) -> str:
     """A count for an error message: in full when short, else by its digit
-    count, so that no message renders an int past the int->str cap."""
+    count, so that the message for a huge depth stays short."""
     digits = decimal_digits(n)
     return str(n) if digits <= 18 else f"a {digits}-digit number of"
 
@@ -243,8 +241,7 @@ def count_text(n: int) -> str:
 _SPLIT_BITS = 2**15
 #: the pieces :func:`_split_to_decimal` converts directly
 _LEAF_BITS = 2048
-#: the longest digit run :func:`decimal_to_int` hands to ``int()``: the
-#: least int<->str cap CPython accepts (``str_digits_check_threshold``)
+#: :func:`decimal_to_int`'s piece size: the least int<->str cap CPython takes
 _PARSE_DIGITS = 640
 
 
@@ -263,8 +260,7 @@ def int_to_decimal(value: int) -> str:
 
 
 def value_text(value) -> str:
-    """An int in full by :func:`int_to_decimal`, anything else by its
-    repr: the one way a message or repr shows a value."""
+    """A value for a message or repr: an int in full, else its repr."""
     return int_to_decimal(value) if type(value) is int else repr(value)
 
 
@@ -318,10 +314,14 @@ def _split_to_decimal(value: int) -> str:
 
 
 def decimal_to_int(text: str) -> int:
-    """Parse a decimal digit run under any int<->str cap, split by powers of
-    ten into pieces of at most :data:`_PARSE_DIGITS` digits."""
-    if len(text) <= _PARSE_DIGITS:
+    """Parse a decimal digit run under any int<->str cap: ``int(text)``
+    unless the cap refuses it, else split by powers of ten down to pieces
+    of at most :data:`_PARSE_DIGITS` digits."""
+    try:
         return int(text)
+    except ValueError:  # past the str->int cap, refused before converting
+        if len(text) <= _PARSE_DIGITS:  # or not a digit run
+            raise
     width = _PARSE_DIGITS
     while 2 * width < len(text):
         width *= 2
