@@ -1,9 +1,10 @@
 """Pure-Python rewrite machines for the reference evaluators.
 
 Each machine is an explicit work-stack loop — never native recursion — and
-returns a plain status tuple ``(status, value, steps, peak_value)`` in the
-protocol of :mod:`hyperfold.budget`, which defines the statuses and whose
-``Meter.settle`` turns a trip into its exception.
+a counted run in the protocol of :mod:`hyperfold.budget`: its last four
+arguments are ``max_steps, max_digits, steps, peak`` and it returns a plain
+status tuple ``(status, value, steps, peak_value)``, which ``Meter.run``
+folds back into the meter, turning a trip into its exception.
 
 The Ackermann and Knuth machines are one loop on ``(level, count)`` runs,
 :func:`_tower`, so their memory follows the level, not the step budget.
@@ -105,17 +106,17 @@ def _level1_run(n, count, max_steps, max_digits, steps, peak):
     return add_run(1, n + 1, max_steps, max_digits, steps, peak)
 
 
-def ack_machine(m0, n0, max_steps, max_digits, steps0=0):
+def ack_machine(m0, n0, max_steps, max_digits, steps=0, peak=0):
     """Ackermann by its three rewrite equations, one step per application:
     :func:`_tower` with offset 1 on level-1 frames, or on one increment for
     m0 = 0.  It holds at most m0 runs."""
-    peak = m0 if m0 > n0 else n0
+    peak = max(peak, m0, n0)
     if m0 == 0:
-        return _tower(0, n0, add_run, 1, max_steps, max_digits, steps0, peak)
-    return _tower(m0 - 1, n0, _level1_run, 1, max_steps, max_digits, steps0, peak)
+        return _tower(0, n0, add_run, 1, max_steps, max_digits, steps, peak)
+    return _tower(m0 - 1, n0, _level1_run, 1, max_steps, max_digits, steps, peak)
 
 
-def knuth_machine(a, n0, b, max_steps, max_digits, steps0=0):
+def knuth_machine(a, n0, b, max_steps, max_digits, steps=0, peak=0):
     """Extended up-arrow by its rewrite equations, level 0 one multiply:
     :func:`_tower` with offset 0 on :func:`~hyperfold.budget.mul_run`, which
     finds a run's trip point in closed form, as the fold form's innermost
@@ -124,10 +125,9 @@ def knuth_machine(a, n0, b, max_steps, max_digits, steps0=0):
     For a = 1 and n0 >= 1 every value is 1, and the rules take exactly
     ``2 * n0 * b + 1`` steps (a level-k frame at 1 is 2k + 1 of them), so
     they are charged at once rather than one loop pass per frame."""
-
-    peak = max(a, n0, b)
+    peak = max(peak, a, n0, b)
     if a == 1 and n0 and not reaches_cap(peak, max_digits):
-        steps = steps0 + 2 * n0 * b + 1
+        steps += 2 * n0 * b + 1
         if steps > max_steps:
             return (TRIP_STEPS, 0, max_steps, peak)
         return (OK, 1, steps, peak)
@@ -135,10 +135,10 @@ def knuth_machine(a, n0, b, max_steps, max_digits, steps0=0):
     def times_a(val, count, *budget):
         return mul_run(val, a, count, *budget)
 
-    return _tower(n0, b, times_a, 0, max_steps, max_digits, steps0, peak)
+    return _tower(n0, b, times_a, 0, max_steps, max_digits, steps, peak)
 
 
-def conway_machine(entries, max_steps, max_digits, steps0=0):
+def conway_machine(entries, max_steps, max_digits, steps=0, peak=0):
     """Chained-arrow rewriting over the reversed chain, one step per rule.
 
     A configuration is (h0, h1, idx): the list h0 : h1 : rev[idx:], where
@@ -151,8 +151,6 @@ def conway_machine(entries, max_steps, max_digits, steps0=0):
     machine as it was with a private power loop, ``conway_literal_machine``,
     and the tests compare the two tuple for tuple.
     """
-    steps = steps0
-    peak = 0
     for e in entries:
         if e > peak:
             peak = e

@@ -20,16 +20,17 @@ then at most one power of ten from one bounded cache, which the decimal
 parser shares.
 
 Two ways to charge, one protocol.  The fold forms charge a :class:`Meter`
-directly (``spend``, ``note``).  The rewrite machines keep local counters
-and return a status tuple ``(status, value, steps, peak_value)``, status
-:data:`OK`, :data:`TRIP_STEPS` or :data:`TRIP_MAGNITUDE`, which
-:meth:`Meter.settle` folds back into the meter, raising the same trip as
-``spend`` or ``note`` would.  :func:`pow_counted` is the one counted
-exponentiation, in that tuple protocol; the fold forms reach it through
-:func:`checked_pow`, the Conway machine calls it directly.  A power trips
-before it is computed when ``exponent * digits(base) > max_digits``.  That
-bound overestimates by up to 3.3 times (base 2), so ``2->300000`` (90,309
-digits) is refused under the default cap of 10^5 digits.
+directly (``spend``, ``note``).  Every counted run, the rewrite machines
+included, keeps local counters: it takes ``max_steps, max_digits, steps,
+peak`` as its last four arguments and returns a status tuple ``(status,
+value, steps, peak_value)``, status :data:`OK`, :data:`TRIP_STEPS` or
+:data:`TRIP_MAGNITUDE`.  :meth:`Meter.run` is the one door between them:
+it calls the run from the meter's counters and folds the tuple back,
+raising the same trip as ``spend`` or ``note`` would.
+:func:`pow_counted` is the one counted exponentiation; the fold forms
+reach it through ``Meter.run``, the Conway machine calls it directly.  A
+power trips before it is computed, and exactly when it would reach the
+digit cap (:func:`pow_reaches_cap`).
 
 :func:`mul_run` is the one counted multiply run, ``val * a**count`` charged
 one step per multiply, in the same protocol: the Knuth machine's level-0
@@ -42,7 +43,7 @@ runs call it.
 
 :func:`int_to_decimal` and :func:`decimal_to_int` own integer text and never
 read the interpreter's int<->str cap; messages and reprs show ints through
-:func:`value_text` or :func:`count_text`, so none fails past the cap.
+:func:`value_text`, so none fails past the cap.
 
 :class:`Record` is the frozen value class of :class:`Budget`,
 :class:`EvalStats`, the syntax nodes and the CLI's configuration.
@@ -51,13 +52,16 @@ read the interpreter's int<->str cap; messages and reprs show ints through
 from __future__ import annotations
 
 import functools
-from math import log
+from math import log, log10
 
 #: log2(10) lies strictly between _LOG2_10_NUM / _LOG2_10_DEN and
 #: (_LOG2_10_NUM + 1) / _LOG2_10_DEN, which bound every digit count in bits
 _LOG2_10_NUM = 3321928094887362347
 _LOG2_10_DEN = 10**18
 _LN_10 = log(10)
+#: the relative distance from the cap within which :func:`pow_reaches_cap`
+#: builds the power rather than trust its float estimate
+_POW_MARGIN = 1e-9
 
 #: status of a ``(status, value, steps, peak_value)`` tuple
 OK = 0
@@ -229,11 +233,26 @@ def reaches_cap(value: int, max_digits: int) -> bool:
     return value >= _pow10(max_digits)
 
 
-def count_text(n: int) -> str:
-    """A count for an error message: in full when short, else by its digit
-    count, so that the message for a huge depth stays short."""
-    digits = decimal_digits(n)
-    return str(n) if digits <= 18 else f"a {digits}-digit number of"
+def pow_reaches_cap(base: int, exponent: int, max_digits: int) -> bool:
+    """Whether ``base**exponent >= 10**max_digits``, for base >= 2 and
+    exponent >= 1, without building the power unless it is close to the cap.
+
+    For a b-bit base the power has between ``exponent * (b-1) + 1`` and
+    ``exponent * b`` bits, so the log2(10) bracket of :func:`reaches_cap`
+    decides unless the cap lies in that range.  There
+    ``exponent * log10(base)`` decides unless it is within a relative
+    :data:`_POW_MARGIN` of ``max_digits``, far above the float error; only
+    then is the power built and compared.
+    """
+    bits = base.bit_length()
+    if exponent * bits <= safe_bits(max_digits):
+        return False
+    if exponent * (bits - 1) * _LOG2_10_DEN >= max_digits * (_LOG2_10_NUM + 1):
+        return True
+    ratio = exponent / max_digits * log10(base)
+    if abs(ratio - 1) > _POW_MARGIN:
+        return ratio > 1
+    return reaches_cap(base**exponent, max_digits)
 
 
 #: a value of more bits than this (about 9,900 digits) renders by
@@ -333,10 +352,10 @@ class Meter:
     """Mutable consumption counter for one evaluation run.
 
     The closure-based fold evaluators charge through this object directly;
-    the hot rewrite machines keep local counters and report through
-    :meth:`settle`.  A meter builds nothing the size of its digit cap: a new
-    peak costs one comparison of its bit length with :func:`safe_bits`, and
-    only a value past that asks :func:`reaches_cap`.
+    the counted runs and rewrite machines keep local counters and reach it
+    through :meth:`run`.  A meter builds nothing the size of its digit cap:
+    a new peak costs one comparison of its bit length with
+    :func:`safe_bits`, and only a value past that asks :func:`reaches_cap`.
     """
 
     __slots__ = ("max_steps", "max_digits", "safe_bits", "steps", "peak")
@@ -363,14 +382,15 @@ class Meter:
             ):
                 raise self._magnitude_trip()
 
-    def settle(self, result) -> int:
-        """Fold a ``(status, value, steps, peak_value)`` tuple, started from
-        this meter's steps and peak, back into it; return the value or raise
-        the trip."""
-        status, value, steps, peak = result
-        self.steps = steps
-        if peak > self.peak:
-            self.peak = peak
+    def run(self, fn, *args) -> int:
+        """``fn(*args, max_steps, max_digits, steps, peak)``, a counted run
+        started from this meter's budget, steps and peak, whose ``(status,
+        value, steps, peak_value)`` is folded back into it; return the value
+        or raise the trip.  A run counts from the peak it is given, so the
+        peak it returns is the meter's."""
+        status, value, self.steps, self.peak = fn(
+            *args, self.max_steps, self.max_digits, self.steps, self.peak
+        )
         if status == OK:
             return value
         if status == TRIP_STEPS:
@@ -398,18 +418,18 @@ def pow_counted(base, exponent, max_steps, max_digits, steps, peak):
 
     Counts from ``steps`` and ``peak`` (a raw value, not digits) and returns
     ``(status, value, steps, peak)``; a step trip reports ``max_steps``.
-    Fails fast with TRIP_MAGNITUDE, before any multiply, when the digit
-    bound ``exponent * digits(base)`` exceeds ``max_digits``.  Otherwise
-    ``base**exponent < 10**max_digits``, and every intermediate square and
-    product is at most ``base**exponent``, so no magnitude check is needed
-    inside the loop.  The bound is exact for bases 0 and 1, so ``1**huge``
-    never trips.  Operands must be non-negative.
+    Fails fast with TRIP_MAGNITUDE, before any multiply, exactly when
+    ``base**exponent >= 10**max_digits`` (:func:`pow_reaches_cap`).
+    Otherwise every intermediate square and product is at most
+    ``base**exponent``, below the cap, so no magnitude check is needed
+    inside the loop.  Bases 0 and 1 never grow, so ``1**huge`` never trips.
+    Operands must be non-negative.
     """
     if exponent == 0:
         return (OK, 1, steps, max(peak, 1))
     if base <= 1:
         return (OK, base, steps, max(peak, base))
-    if exponent * decimal_digits(base) > max_digits:
+    if pow_reaches_cap(base, exponent, max_digits):
         return (TRIP_MAGNITUDE, 0, steps, peak)
     result = 1
     square = base
@@ -431,17 +451,6 @@ def pow_counted(base, exponent, max_steps, max_digits, steps, peak):
         square *= square
         if square > peak:
             peak = square
-
-
-def checked_pow(base: int, exponent: int, meter: Meter) -> int:
-    """``base ** exponent`` charged to ``meter`` by :func:`pow_counted`."""
-    if base < 0 or exponent < 0:
-        raise DomainError("checked_pow needs non-negative operands", meter.stats())
-    return meter.settle(
-        pow_counted(
-            base, exponent, meter.max_steps, meter.max_digits, meter.steps, meter.peak
-        )
-    )
 
 
 def mul_run(val, a, count, max_steps, max_digits, steps, peak):

@@ -3,7 +3,7 @@
 Each function of the hierarchy is implemented twice:
 
 * ``*_ref`` — the self-referential rewrite equations, run on an explicit
-  work-stack machine (:mod:`hyperfold._machines`);
+  work-stack machine (:mod:`hyperfold._machines`) through ``Meter.run``;
 * ``*_prim`` — the equivalent fold form, built from nested closures over
   :func:`hyperfold.folds.foldn` / :func:`hyperfold.folds.foldr_seq`:
 
@@ -23,8 +23,9 @@ Each function of the hierarchy is implemented twice:
   build.  Fold fusion belongs to the generator: one that carries
   ``iterate(v, c)`` runs ``foldn gen v c`` in closed form, charged as its c
   applications.  Only ``times_a`` has one, so ``foldn (a*) 1 x = a^x`` is
-  one run of x multiplies (:func:`~hyperfold.budget.mul_run`) with the
-  steps, peak and trip point of x entries into ``times_a``.
+  one run of x multiplies (:func:`~hyperfold.budget.mul_run`, through
+  ``Meter.run``) with the steps, peak and trip point of x entries into
+  ``times_a``.
   ``eval_conway_prim`` is the front end and hands its reduced chain to
   ``eval_cback_prim``.
 
@@ -49,9 +50,8 @@ from .budget import (
     ConstructionLimit,
     DomainError,
     Meter,
-    checked_pow,
-    count_text,
     mul_run,
+    pow_counted,
     value_text,
 )
 from .folds import foldn, foldr_seq
@@ -80,7 +80,7 @@ def _require_natural(name: str, value, meter: Meter) -> int:
 def _ensure_depth(depth: int, meter: Meter) -> None:
     if depth > CLOSURE_DEPTH_LIMIT:
         raise ConstructionLimit(
-            f"fold form would nest {count_text(depth)} closures "
+            f"fold form would nest {value_text(depth)} closures "
             f"(limit {CLOSURE_DEPTH_LIMIT})",
             meter.stats(),
         )
@@ -123,9 +123,7 @@ def _tower(gen, depth, x, meter, start, step=None):
 def eval_ack_ref(m: int, n: int, meter: Meter) -> int:
     m = _require_natural("m", m, meter)
     n = _require_natural("n", n, meter)
-    return meter.settle(
-        ack_machine(m, n, meter.max_steps, meter.max_digits, meter.steps)
-    )
+    return meter.run(ack_machine, m, n)
 
 
 def eval_ack_prim(m: int, n: int, meter: Meter) -> int:
@@ -153,9 +151,7 @@ def eval_knuth_ref(a: int, n: int, b: int, meter: Meter) -> int:
     a = _require_natural("a", a, meter)
     n = _require_natural("n", n, meter)
     b = _require_natural("b", b, meter)
-    return meter.settle(
-        knuth_machine(a, n, b, meter.max_steps, meter.max_digits, meter.steps)
-    )
+    return meter.run(knuth_machine, a, n, b)
 
 
 def eval_knuth_prim(a: int, n: int, b: int, meter: Meter) -> int:
@@ -173,9 +169,7 @@ def eval_knuth_prim(a: int, n: int, b: int, meter: Meter) -> int:
         return v
 
     # fold fusion: foldn (a*) v c = v * a^c, one counted run of c multiplies
-    times_a.iterate = lambda v, c: meter.settle(
-        mul_run(v, a, c, meter.max_steps, meter.max_digits, meter.steps, meter.peak)
-    )
+    times_a.iterate = lambda v, c: meter.run(mul_run, v, a, c)
     # foldn (\f -> foldn f 1) (a*) n b
     return _tower(times_a, n, b, meter, lambda f: 1)
 
@@ -198,9 +192,7 @@ def _checked_chain(entries: Sequence[int], meter: Meter) -> Chain:
 
 def eval_conway_ref(entries: Sequence[int], meter: Meter) -> int:
     chain = _checked_chain(entries, meter)
-    return meter.settle(
-        conway_machine(chain, meter.max_steps, meter.max_digits, meter.steps)
-    )
+    return meter.run(conway_machine, chain)
 
 
 def eval_conway_prim(entries: Sequence[int], meter: Meter) -> int:
@@ -239,7 +231,7 @@ def eval_cback_prim(
     # functions (q, p) -> value
     def cpow_fn(q: int, p: int) -> int:
         meter.spend()
-        return checked_pow(p + 1, q + 1, meter)
+        return meter.run(pow_counted, p + 1, q + 1)
 
     def aux(o: int, k: Callable[[int, int], int]) -> Callable[[int, int], int]:
         # aux o k = foldn (\f -> foldn (f . subtract 1) (k 0 o)) (flip k o)
@@ -265,7 +257,7 @@ def eval_cpow(q: int, p: int, meter: Meter) -> int:
     p = _require_natural("p", p, meter)
     meter.note(q)
     meter.note(p)
-    return checked_pow(p + 1, q + 1, meter)
+    return meter.run(pow_counted, p + 1, q + 1)
 
 
 # ---------------------------------------------------------------------------

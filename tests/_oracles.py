@@ -4,7 +4,8 @@ Everything here is deliberately naive (memoized recursion straight off the
 equations) and shares no code with the package; expected values in the test
 tables were produced by these before being frozen.  ``count_ack_steps``
 additionally gives the exact number of equation applications the rewrite
-evaluator must account for, and ``ack_literal_machine``,
+evaluator must account for, ``ack_cost`` the same count in closed form
+for m <= 3 at any n, and ``ack_literal_machine``,
 ``knuth_literal_machine`` and ``conway_literal_machine`` are the unshortcut
 work-stack rewriters used to pin down the production machines' accounting.
 ``ack_literal_prim`` and ``knuth_literal_prim`` are the fold forms with no
@@ -110,6 +111,34 @@ def count_ack_steps(m: int, n: int) -> int:
     return 1 + count_ack_steps(m, n - 1) + count_ack_steps(m - 1, ack(m, n - 1))
 
 
+def ack_cost(m: int, n: int) -> int:
+    """``count_ack_steps(m, n)`` for m <= 3 at any n, from closed forms.
+
+    The equations cost C(0, n) = 1, C(m+1, 0) = 1 + C(m, 1) and
+    C(m+1, n+1) = 1 + C(m+1, n) + C(m, A(m+1, n)), so:
+
+    * C(1, 0) = 1 + C(0, 1) = 2 and C(1, n+1) = 2 + C(1, n), as
+      C(0, _) = 1; hence C(1, n) = 2n + 2;
+    * C(2, 0) = 1 + C(1, 1) = 5, and A(2, n) = 2n + 3 gives
+      C(2, n+1) = 1 + C(2, n) + C(1, 2n + 3) = C(2, n) + 4n + 9; hence
+      C(2, n) = 5 + sum(4k + 9 for k < n) = 2n^2 + 7n + 5;
+    * C(3, 0) = 1 + C(2, 1), and A(3, k) = 2^(k+3) - 3 gives
+      C(3, k+1) = 1 + C(3, k) + C(2, 2^(k+3) - 3): a sum of n terms.
+    """
+    if m == 0:
+        return 1
+    if m == 1:
+        return 2 * n + 2
+    if m == 2:
+        return 2 * n * n + 7 * n + 5
+    if m == 3:
+        cost = 1 + ack_cost(2, 1)
+        for k in range(n):
+            cost += 1 + ack_cost(2, 2 ** (k + 3) - 3)
+        return cost
+    raise ValueError("closed forms are derived for m <= 3 only")
+
+
 def ack_literal_machine(m0, n0, max_steps, mag_limit, steps0=0):
     """The unshortcut rewrite machine: every equation application is one
     loop iteration.  The status-tuple protocol of the production
@@ -177,16 +206,20 @@ def knuth_literal_machine(a, n0, b, max_steps, mag_limit, steps0=0):
     return (0, val, steps, peak)
 
 
-def _literal_pow(base, exponent, max_steps, mag_limit, max_digits, steps, peak):
-    """Square-and-multiply, one step per multiply, failing fast when
-    ``exponent * digits(base)`` exceeds ``max_digits`` (exact for base <= 1).
-    Digits are counted with ``str``, so bases past the int->str cap are out
-    of its reach."""
+def _literal_pow(base, exponent, max_steps, mag_limit, steps, peak):
+    """Square-and-multiply, one step per multiply, failing fast exactly when
+    ``base**exponent >= mag_limit``.  The power is at least ``2**(exponent *
+    (b - 1))`` for a b-bit base, so it is over, and never built, once
+    ``exponent * (b - 1)`` reaches the bit length of ``mag_limit``; any
+    other has fewer than ``b / (b - 1)`` times that many bits, and is built
+    and compared."""
     if exponent == 0:
         return (0, 1, steps, peak)
     if base <= 1:
         return (0, base, steps, peak)
-    if exponent * len(str(base)) > max_digits:
+    if exponent * (base.bit_length() - 1) >= mag_limit.bit_length():
+        return (2, 0, steps, peak)
+    if base**exponent >= mag_limit:
         return (2, 0, steps, peak)
     result = 1
     square = base
@@ -210,11 +243,11 @@ def _literal_pow(base, exponent, max_steps, mag_limit, max_digits, steps, peak):
             peak = square
 
 
-def conway_literal_machine(entries, max_steps, mag_limit, max_digits, steps0=0):
+def conway_literal_machine(entries, max_steps, mag_limit, steps0=0):
     """The Conway rewrite machine with a frame per general-rule firing and a
     magnitude check after every power.  The status-tuple protocol of the
-    production ``conway_machine``, with the cap's power ``mag_limit =
-    10**max_digits`` before ``max_digits``, which sizes its powers."""
+    production ``conway_machine``, whose ``max_digits`` argument is
+    ``mag_limit`` here, the cap's power ``10**max_digits``."""
     steps = steps0
     peak = 0
     for e in entries:
@@ -244,7 +277,7 @@ def conway_literal_machine(entries, max_steps, mag_limit, max_digits, steps0=0):
         if idx == end:
             # two-element base: reversed [q, p] denotes p^q
             status, value, steps, peak = _literal_pow(
-                h1, h0, max_steps, mag_limit, max_digits, steps, peak
+                h1, h0, max_steps, mag_limit, steps, peak
             )
             if status != 0:
                 return (status, 0, steps, peak)

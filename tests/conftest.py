@@ -1,8 +1,15 @@
 import os
 
+from hypothesis import settings
+
 # The CLI tests start `python -m hyperfold.cli` in child processes; give
 # them the source tree these tests import, not whatever is installed.
 _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(
     filter(None, [_SRC, os.environ.get("PYTHONPATH")])
 )
+
+# Every run of the suite tries the same examples, and no example fails for
+# taking longer than a wall-clock deadline on a slow machine.
+settings.register_profile("deterministic", derandomize=True, deadline=None)
+settings.load_profile("deterministic")

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import subprocess
 import sys
@@ -6,7 +7,7 @@ import time
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import _oracles
@@ -19,17 +20,20 @@ from hyperfold.budget import (
     Budget,
     BudgetExceeded,
     EvalStats,
+    HyperError,
     MagnitudeExceeded,
     Meter,
     add_run,
-    checked_pow,
     decimal_digits,
     decimal_to_int,
     int_to_decimal,
     mul_run,
+    pow_counted,
+    pow_reaches_cap,
     reaches_cap,
 )
 from hyperfold.hyperops import knuth_prim, knuth_ref
+from hyperfold.notation import evaluate, parse
 
 
 def test_budget_defaults_and_validation():
@@ -142,7 +146,7 @@ def test_digit_cap_trips_exactly_at_the_power_of_ten(span):
                 _oracles.knuth_literal_machine(v, 0, 1, steps, limit)
             ), (d, v)
             assert conway_machine((v,), steps, d) == (
-                _oracles.conway_literal_machine((v,), steps, limit, d)
+                _oracles.conway_literal_machine((v,), steps, limit)
             ), (d, v)
         bits = limit.bit_length()  # the first power of two past the cap
         runs = [(2, bits + 2, bits, 1 << bits), (10, d + 2, d, limit)]
@@ -195,7 +199,7 @@ def test_stats_combined():
 @given(st.integers(2, 50), st.integers(0, 60))
 def test_checked_pow_matches_builtin(base, exponent):
     meter = Meter(Budget(max_steps=10**6, max_digits=10**4))
-    assert checked_pow(base, exponent, meter) == base**exponent
+    assert meter.run(pow_counted, base, exponent) == base**exponent
 
 
 def test_checked_pow_step_trip_mid_loop():
@@ -205,33 +209,64 @@ def test_checked_pow_step_trip_mid_loop():
     meter = Meter(Budget(max_steps=6, max_digits=100))
     meter.spend(2)
     with pytest.raises(BudgetExceeded) as trip:
-        checked_pow(3, 27, meter)
+        meter.run(pow_counted, 3, 27)
     assert trip.value.stats == EvalStats(steps_used=6, peak_digits=2)
     assert (meter.steps, meter.peak) == (6, 81)
 
 
 def test_checked_pow_trivial_bases():
-    # exact digit estimates: no false trip however large the exponent, no
+    # bases that never grow: no false trip however large the exponent, no
     # multiplication, and the value produced counts in the peak
     for base, exponent, value in [(1, 10**9, 1), (0, 10**9, 0), (7, 0, 1), (0, 0, 1)]:
         meter = Meter(Budget(max_steps=100, max_digits=2))
-        assert checked_pow(base, exponent, meter) == value
+        assert meter.run(pow_counted, base, exponent) == value
         assert (meter.steps, meter.peak) == (0, value)
 
 
 def test_checked_pow_fails_fast_before_allocating():
     meter = Meter(Budget(max_steps=10**6, max_digits=50))
     with pytest.raises(MagnitudeExceeded):
-        checked_pow(10, 10**12, meter)
-    assert meter.steps == 0  # tripped on the estimate, not mid-computation
+        meter.run(pow_counted, 10, 10**12)
+    assert meter.steps == 0  # tripped before the first multiply
 
 
 def test_checked_pow_counts_multiplies():
     meter = Meter(Budget(max_steps=10**6, max_digits=100))
-    checked_pow(3, 27, meter)
+    meter.run(pow_counted, 3, 27)
     # square-and-multiply on a 5-bit exponent: a handful of multiplies,
     # never the 26 of naive repeated multiplication
     assert 0 < meter.steps <= 10
+
+
+@settings(max_examples=300)
+@given(st.integers(2, 1000), st.integers(1, 400), st.integers(-3, 3))
+# powers of powers of ten land on the cap itself, where only the power
+# can tell its float digit estimate from the cap
+@example(10, 5, 0)
+@example(100, 400, 0)
+@example(1000, 6, 0)
+def test_power_trips_exactly_where_it_reaches_the_cap(base, max_digits, offset):
+    # exponents around the least whose power has more than max_digits digits
+    exponent = max(1, math.ceil(max_digits / math.log10(base)) + offset)
+    over = base**exponent >= 10**max_digits
+    assert pow_reaches_cap(base, exponent, max_digits) == over
+    status = pow_counted(base, exponent, 10**6, max_digits, 0, 0)[0]
+    assert status == (TRIP_MAGNITUDE if over else OK)
+    # a chain's power and a multiply run agree on every value and trip
+    budget = Budget(max_digits=max_digits)
+    assert _value_or_trip(f"{base}->{exponent}", budget) == (
+        _value_or_trip(f"{base}^{exponent}", budget)
+    )
+    assert _value_or_trip(f"{base}^{exponent}", budget) == (
+        "magnitude" if over else base**exponent
+    )
+
+
+def _value_or_trip(text, budget):
+    try:
+        return evaluate(parse(text), "both", budget)[0]
+    except HyperError as exc:
+        return exc.kind
 
 
 def _plain_mul_run(val, a, count, max_steps, mag_limit, steps, peak):

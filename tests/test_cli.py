@@ -360,7 +360,7 @@ _near_valid = st.builds(
 )
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(st.one_of(_token_soup, _near_valid))
 def test_token_string_fuzz_ends_in_a_documented_exit_code(text):
     # every line ends as a value (0), a parse error (2) or a budget (3) or
@@ -393,7 +393,7 @@ def _out_of_memory(*_args):
         # ack(2,3)'s 44 rewrites, then the chain's power fails
         ("reference", "hyperfold._machines", 44),
         # ack(2,3)'s 27 closure entries and the chain fold's 3, then its power
-        ("primitive", "hyperfold.budget", 30),
+        ("primitive", "hyperfold.hyperops", 30),
     ],
 )
 def test_evaluation_out_of_memory_is_a_construction_limit(
@@ -432,6 +432,28 @@ def test_out_of_memory_inside_the_split_rendering_is_a_construction_limit(
     assert err == (
         "construction: rendering the value ran out of memory\n"
         f"steps={stats.steps_used} peak_digits=19729\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "chain, power",
+    [("2->300000", "2^300000"), ("10->99999", "10^99999"), ("2->332192", "2^332192")],
+)
+def test_a_power_below_the_digit_cap_prints_in_both_notations(chain, power):
+    # a power trips exactly where its value reaches 10**max_digits, as a
+    # multiply run does, so no notation refuses a value another prints
+    outputs = [_run_eval_captured(text, cli.Config()) for text in (chain, power)]
+    assert [(code, err) for code, _, err in outputs] == [(cli.EXIT_OK, "")] * 2
+    assert outputs[0][1].splitlines()[0] == outputs[1][1].splitlines()[0]
+
+
+@pytest.mark.parametrize("text", ["2->332193", "10->100000"])
+def test_a_power_past_the_digit_cap_trips_before_its_first_multiply(text):
+    assert _run_eval_captured(text, cli.Config()) == (
+        cli.EXIT_BUDGET,
+        "",
+        "magnitude: value exceeds 100000 digits (max_digits=100000)\n"
+        "steps=1 peak_digits=6\n",
     )
 
 

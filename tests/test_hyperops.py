@@ -80,7 +80,7 @@ def test_ack_machine_matches_literal_at_every_budget():
     assert cases == 15_717
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(
     st.integers(0, 3),
     st.integers(0, 5000),
@@ -104,6 +104,23 @@ def test_ack_ref_accounts_every_equation_application():
             shortcut = ack_machine(m, n, B.max_steps, B.max_digits)
             assert shortcut == literal, (m, n)
             assert shortcut[2] == _oracles.count_ack_steps(m, n)
+
+
+def test_ack_cost_closed_forms_match_the_recurrence():
+    for m, n in itertools.product(range(4), range(5)):
+        assert _oracles.ack_cost(m, n) == _oracles.count_ack_steps(m, n), (m, n)
+
+
+@pytest.mark.parametrize("n", [20, 40, 60])
+def test_ack_ref_costs_exactly_the_closed_form_at_large_n(n):
+    # far past the literal machine's reach (C(3, 60) has 38 digits): the
+    # value comes at exactly C steps, and a budget of C - 1 trips there
+    cost = _oracles.ack_cost(3, n)
+    value, stats = ack_ref(3, n, Budget(max_steps=cost))
+    assert (value, stats.steps_used) == (2 ** (n + 3) - 3, cost)
+    with pytest.raises(BudgetExceeded) as trip:
+        ack_ref(3, n, Budget(max_steps=cost - 1))
+    assert trip.value.stats.steps_used == cost - 1
 
 
 def test_ack_machine_budget_trips_match_literal():
@@ -166,6 +183,9 @@ def test_ack_rejects_bad_arguments():
 def test_ack_prim_depth_guard():
     with pytest.raises(ConstructionLimit):
         ack_prim(10**5, 0, B)
+    # a depth of any length is written in full
+    with pytest.raises(ConstructionLimit, match=f"nest {10**20} closures "):
+        ack_prim(10**20, 0, B)
 
 
 ACK_PRIM_STEPS = (1, 2, 3, 5, 8, 13, 21, 34, 100, 300, 1000, 3000, 10**4, 3 * 10**4)
@@ -186,7 +206,7 @@ def test_ack_prim_matches_literal_grid():
     assert compared == 3150
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(
     st.integers(0, 4),
     st.integers(0, 10**4),
@@ -274,7 +294,7 @@ def test_knuth_at_a_one_costs_no_loop_pass_per_step():
 _knuth_entry = st.one_of(st.integers(0, 12), st.integers(0, 10**6))
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(
     _knuth_entry,
     st.integers(0, 8),
@@ -406,7 +426,7 @@ def test_knuth_prim_heavy_grid_points_match_frozen_literal(args):
         assert _accounting(knuth_prim, args, budget) == want, (args, max_steps)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(
     _knuth_entry,
     st.integers(0, 6),
@@ -446,14 +466,14 @@ def test_conway_machine_matches_literal_grid(steps0):
         for max_steps in CONWAY_GRID_STEPS:
             for max_digits in KNUTH_GRID_DIGITS:
                 mag = 10**max_digits
-                args = (chain, max_steps, mag, max_digits, steps0)
+                args = (chain, max_steps, mag, steps0)
                 got = conway_machine(chain, max_steps, max_digits, steps0)
                 assert got == _oracles.conway_literal_machine(*args), (
                     chain, max_steps, max_digits, steps0
                 )
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(
     st.lists(st.one_of(st.integers(1, 5), st.integers(1, 10**4)), max_size=6),
     st.integers(1, 20_000),
@@ -461,7 +481,7 @@ def test_conway_machine_matches_literal_grid(steps0):
     st.integers(0, 50),
 )
 def test_conway_machine_matches_literal_sampled(chain, max_steps, max_digits, steps0):
-    args = (tuple(chain), max_steps, 10**max_digits, max_digits, steps0)
+    args = (tuple(chain), max_steps, 10**max_digits, steps0)
     got = conway_machine(tuple(chain), max_steps, max_digits, steps0)
     assert got == _oracles.conway_literal_machine(*args)
 
@@ -530,7 +550,10 @@ PRIMITIVE_ACCOUNTING = [
     (cpow, (1, 2), B, (9, 2, 1)),
     (cpow, (40, 40), B, (41**41, 8, 67)),
     (cpow, (99999, 1), B, (2**100000, 22, 30103)),
-    (cpow, (10**5, 1), B, (MagnitudeExceeded, 0, 6)),
+    # a power trips exactly where its value reaches the cap: 2**332192 has
+    # 100,000 digits, 2**332193 one more
+    (cpow, (332191, 1), B, (2**332192, 24, 100000)),
+    (cpow, (332192, 1), B, (MagnitudeExceeded, 0, 6)),
     (cpow, (40, 40), Budget(max_steps=5), (BudgetExceeded, 5, 15)),
     (cpow, (3, 2), Budget(max_steps=10, max_digits=1), (MagnitudeExceeded, 0, 1)),
     (cback_prim, ((), 0, 0), B, (1, 1, 1)),
@@ -542,11 +565,12 @@ PRIMITIVE_ACCOUNTING = [
     (cback_prim, ((1, 1, 1), 2, 1), Budget(max_steps=10**4), (4, 621, 1)),
     (cback_prim, ((1,), 1, 1), Budget(max_steps=5), (BudgetExceeded, 5, 1)),
     (cback_prim, ((2,), 2, 2), B, (MagnitudeExceeded, 45, 13)),
+    # 2->3->3 = 65536 has 5 digits, so a 5-digit cap admits it
     (
         cback_prim,
         ((1,), 2, 2),
         Budget(max_steps=10**7, max_digits=5),
-        (MagnitudeExceeded, 28, 2),
+        (65536, 33, 5),
     ),
     # the carrier's own depth guard, step trips inside a carrier's layer,
     # and the deepest carrier

@@ -149,7 +149,7 @@ exprs = st.recursive(
 )
 
 
-@settings(max_examples=500, deadline=None)
+@settings(max_examples=500)
 @given(exprs)
 def test_parse_render_round_trip(expr):
     assert parse(render(expr)) == expr
@@ -185,7 +185,7 @@ def test_evaluate_forms_agree_on_samples():
         assert both[1].peak_digits == max(ref[1].peak_digits, prim[1].peak_digits)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(exprs, st.integers(1, 10**4), st.integers(1, 50))
 def test_forms_agree_and_budgets_are_monotone_on_trees(expr, max_steps, max_digits):
     # where both forms finish their values are equal, and a form that
