@@ -37,13 +37,18 @@ one step per multiply, in the same protocol: the Knuth machine's level-0
 runs and the fold form's innermost ``foldn (a*) 1 x`` both call it.  Unlike
 a power, a run trips exactly where its multiplies one at a time would: on
 the first product that reaches the digit cap, or on the first multiply past
-the step budget.  :func:`add_run`, ``val + count`` one step per increment,
-is the same for Ackermann's successor: the reference machine's level-0
-runs call it.
+the step budget.  The power of two in ``a`` is applied as a shift, so a run
+of doublings such as ``2**65536`` builds no power.  :func:`add_run`, ``val +
+count`` one step per increment, is the same for Ackermann's successor: the
+reference machine's level-0 runs call it.
 
 :func:`int_to_decimal` and :func:`decimal_to_int` own integer text and never
 read the interpreter's int<->str cap; messages and reprs show ints through
-:func:`value_text`, so none fails past the cap.
+:func:`value_text`, so none fails past the cap.  A value of more than
+:data:`_SPLIT_BITS` bits renders by a binary split whose ``Decimal`` powers
+of two come from one bounded cache, as the powers of ten do: the split
+depends on the bit length alone, so renders of a recurring size, such as a
+session's repeated ``2^^5``, build no power.
 
 :class:`Record` is the frozen value class of :class:`Budget`,
 :class:`EvalStats`, the syntax nodes and the CLI's configuration.
@@ -196,9 +201,10 @@ def decimal_digits(value: int) -> int:
     return digits
 
 
-#: powers of ten kept for digit counts, the digit cap and the decimal
-#: parser: bounded, so that a long session holds the sizes it saw last,
-#: not every size it ever saw
+#: the sizes each power cache keeps (powers of ten for digit counts, the
+#: digit cap and the decimal parser; the renderer's ``Decimal`` powers of
+#: two): bounded, so that a long session holds the sizes it saw last, not
+#: every size it ever saw
 _POW10_CACHE_SIZE = 64
 
 
@@ -293,30 +299,14 @@ def _split_to_decimal(value: int) -> str:
     arithmetic runs in a private context wide enough to be exact, with
     ``Inexact`` trapped, so a lost digit raises rather than prints; the
     thread's decimal context and the int<->str cap are never read or set.
-    The ``Decimal`` powers of two live for this call only.
+    The split points depend on the bit length alone, so a value of a size
+    rendered recently finds its powers of two in :func:`_decimal_two_to`,
+    which holds the last :data:`_POW10_CACHE_SIZE` sizes, for every call
+    and thread.
     """
     import decimal
 
-    ctx = decimal.Context(
-        prec=decimal.MAX_PREC,
-        Emax=decimal.MAX_EMAX,
-        Emin=decimal.MIN_EMIN,
-        traps=[decimal.Inexact],
-    )
-    powers = {}
-
-    def two_to(bits):
-        power = powers.get(bits)
-        if power is None:
-            if bits <= _LEAF_BITS:
-                power = decimal.Decimal(1 << bits, ctx)
-            elif bits - 1 in powers:
-                power = ctx.add(powers[bits - 1], powers[bits - 1])
-            else:
-                half = bits >> 1
-                power = ctx.multiply(two_to(half), two_to(bits - half))
-            powers[bits] = power
-        return power
+    ctx = _exact_context()
 
     def join(n, bits):
         if bits <= _LEAF_BITS:
@@ -325,11 +315,41 @@ def _split_to_decimal(value: int) -> str:
         high = n >> low_bits
         low = n - (high << low_bits)
         return ctx.add(
-            ctx.multiply(join(high, bits - low_bits), two_to(low_bits)),
+            ctx.multiply(join(high, bits - low_bits), _decimal_two_to(low_bits)),
             join(low, low_bits),
         )
 
     return ctx.to_sci_string(join(value, value.bit_length()))
+
+
+def _exact_context():
+    """A fresh ``decimal`` context in which every operation is exact or
+    raises ``Inexact``."""
+    import decimal
+
+    return decimal.Context(
+        prec=decimal.MAX_PREC,
+        Emax=decimal.MAX_EMAX,
+        Emin=decimal.MIN_EMIN,
+        traps=[decimal.Inexact],
+    )
+
+
+@functools.lru_cache(maxsize=_POW10_CACHE_SIZE)
+def _decimal_two_to(bits: int):
+    """``2**bits`` as an exact ``Decimal``, from the one bounded cache of
+    :func:`_split_to_decimal`'s powers of two: a long session holds the
+    sizes it rendered last, as :func:`_pow10` does for powers of ten."""
+    import decimal
+
+    if bits <= _LEAF_BITS:
+        return decimal.Decimal(1 << bits)
+    ctx = _exact_context()
+    if bits & 1:
+        power = _decimal_two_to(bits - 1)
+        return ctx.add(power, power)
+    power = _decimal_two_to(bits >> 1)
+    return ctx.multiply(power, power)
 
 
 def decimal_to_int(text: str) -> int:
@@ -509,10 +529,10 @@ def _first_reaching(val, a, max_digits, most):
     10**max_digits`` is ever built.
     """
     if val.bit_length() + most * a.bit_length() <= safe_bits(max_digits):
-        return (0, val * a**most)
+        return (0, _times_power(val, a, most))
     estimate = (max_digits * _LN_10 - log(val)) / log(a)
     j = most if estimate >= most else max(1, int(estimate))
-    v = val * a**j
+    v = _times_power(val, a, j)
     if reaches_cap(v, max_digits):
         while j > 1:
             smaller = v // a
@@ -527,3 +547,10 @@ def _first_reaching(val, a, max_digits, most):
         if reaches_cap(v, max_digits):
             return (j, v)
     return (0, v)
+
+
+def _times_power(val, a, j):
+    """``val * a**j`` for a >= 1, with the power of two in ``a`` applied as
+    a shift: ``2**65536`` is one shift, not sixteen squarings."""
+    t = (a & -a).bit_length() - 1  # the trailing zero bits of a
+    return val * (a >> t) ** j << t * j

@@ -7,7 +7,8 @@ additionally gives the exact number of equation applications the rewrite
 evaluator must account for, ``ack_cost`` the same count in closed form
 for m <= 3 at any n, and ``ack_literal_machine``,
 ``knuth_literal_machine`` and ``conway_literal_machine`` are the unshortcut
-work-stack rewriters used to pin down the production machines' accounting.
+work-stack rewriters used to pin down the production machines' accounting,
+and ``first_power_reaching`` the exact trip point of a multiply run.
 ``ack_literal_prim`` and ``knuth_literal_prim`` are the fold forms with no
 shortcut at all, each its own closure tower with one closure entry per
 increment or multiply; they meter the package's own ``Meter``, so their
@@ -137,6 +138,26 @@ def ack_cost(m: int, n: int) -> int:
             cost += 1 + ack_cost(2, 2 ** (k + 3) - 3)
         return cost
     raise ValueError("closed forms are derived for m <= 3 only")
+
+
+def first_power_reaching(val, a, mag_limit):
+    """The least j >= 1 with ``val * a**j >= mag_limit``, and that product,
+    for a >= 2 and 1 <= val < mag_limit.
+
+    A bisection on exact integer powers, with no float and no estimate:
+    ``a**(2**k)`` is squared up until ``val * a**(2**k)`` reaches the limit,
+    so the last j below it is less than ``2**k``; then each bit of that j,
+    from the top, is kept iff the product with it stays below the limit.
+    """
+    squares = [a]  # a**(2**i)
+    while val * squares[-1] < mag_limit:
+        squares.append(squares[-1] * squares[-1])
+    j, below = 0, val
+    for i in reversed(range(len(squares) - 1)):
+        product = below * squares[i]
+        if product < mag_limit:
+            j, below = j + (1 << i), product
+    return (j + 1, below * a)
 
 
 def ack_literal_machine(m0, n0, max_steps, mag_limit, steps0=0):

@@ -3,6 +3,7 @@ import math
 import random
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 
@@ -99,6 +100,11 @@ def test_power_of_ten_caches_stay_bounded():
     for k in range(1000, 300001, 1000):
         assert knuth_ref(2, 1, k)[0] == 2**k
     assert budget._pow10.cache_info().currsize <= budget._POW10_CACHE_SIZE
+    # 100 renders of distinct sizes past the split, 10,000 to 39,700 digits
+    for k in range(10_000, 40_000, 300):
+        assert int_to_decimal(10**k) == "1" + "0" * k
+    info = budget._decimal_two_to.cache_info()
+    assert info.currsize <= budget._POW10_CACHE_SIZE < info.misses
     # a meter builds no power of ten, not even its cap, 10**100000 (41 KB)
     misses = budget._pow10.cache_info()
     tracemalloc.start()
@@ -152,6 +158,10 @@ def test_digit_cap_trips_exactly_at_the_power_of_ten(span):
         runs = [(2, bits + 2, bits, 1 << bits), (10, d + 2, d, limit)]
         if d <= 400:
             runs.append((3, bits, None, None))
+        else:  # even bases other than 2 take the shift and a power
+            for a in (4, 6):
+                j, first = _oracles.first_power_reaching(1, a, limit)
+                runs.append((a, j + 2, j, first))
         for a, count, j, first in runs:
             args = (1, a, count, 10**9, d, 0, 1)
             if j is None:
@@ -288,7 +298,12 @@ def test_mul_run_matches_plain_loop():
     for max_digits in (1, 2, 4, 12):
         mag = 10**max_digits
         for a, val, count, max_steps, steps, extra in itertools.product(
-            (0, 1, 2, 3, 10), range(4), range(41), (1, 2, 3, 5, 10, 50), (0, 1), (0, 6)
+            (0, 1, 2, 3, 4, 6, 8, 10, 12, 2**61),
+            range(4),
+            range(41),
+            (1, 2, 3, 5, 10, 50),
+            (0, 1),
+            (0, 6),
         ):
             if steps > max_steps:
                 continue
@@ -298,7 +313,7 @@ def test_mul_run_matches_plain_loop():
             got = mul_run(val, a, count, max_steps, max_digits, steps, peak)
             assert got == want, args
             cases += 1
-    assert cases == 78_720
+    assert cases == 157_440
 
 
 def _plain_add_run(val, count, max_steps, mag_limit, steps, peak):
@@ -375,7 +390,8 @@ def test_decimal_conversion_in_pieces_under_the_smallest_cap():
 _SPLIT_RENDER_PIN = """
 import random, sys
 from hyperfold.budget import (
-    _LEAF_BITS, _SPLIT_BITS, _split_to_decimal, decimal_to_int, int_to_decimal
+    _LEAF_BITS, _SPLIT_BITS, _decimal_two_to, _split_to_decimal, decimal_to_int,
+    int_to_decimal
 )
 sys.set_int_max_str_digits(0)
 rng = random.Random(14)
@@ -387,12 +403,18 @@ for k in (_LEAF_BITS - 1, _LEAF_BITS, _LEAF_BITS + 1, 2 * _LEAF_BITS,
 for k in (1, 617, 9864, 9865, 30000):
     values += [10**k - 1, 10**k, 10**k + 1]
 values += [0, 2**65536]  # every low binary piece of 2**65536 is zero
+texts = [str(value) for value in values]
 checked = 0
-for value in values:
-    text = str(value)
-    if int_to_decimal(value) != text or _split_to_decimal(value) != text:
+for value, text in zip(values, texts):
+    _decimal_two_to.cache_clear()  # cold, warm, then through int_to_decimal
+    if _split_to_decimal(value) != text or _split_to_decimal(value) != text:
+        print(value.bit_length())
+    if int_to_decimal(value) != text:
         print(value.bit_length())
     checked += 1
+for value, text in reversed(list(zip(values, texts))):  # other sizes cached
+    if _split_to_decimal(value) != text:
+        print("reversed", value.bit_length())
 # str() of 10**6 digits takes about 11 s; this value is built from its text
 # by the power-of-ten parser instead, which is pinned against int()
 text = str(rng.randrange(1, 10)) + "".join(rng.choices("0123456789", k=10**6 - 1))
@@ -411,6 +433,39 @@ def test_split_rendering_matches_str():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "checked 63\n"
+
+
+def test_renders_agree_across_threads():
+    # the Decimal powers of two are one cache, shared by every thread: four
+    # threads render three sizes past the split from a cold cache, 20 times
+    # each, switching as often as the interpreter allows
+    rng = random.Random(17)
+    sizes = (budget._SPLIT_BITS + 1, 2 * budget._SPLIT_BITS + 3, 4 * budget._SPLIT_BITS)
+    values = [rng.getrandbits(bits) | 1 << (bits - 1) for bits in sizes]
+    want = [int_to_decimal(value) for value in values]
+    results, errors = [], []
+
+    def render():
+        try:
+            for _ in range(20):
+                results.append([int_to_decimal(value) for value in values])
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=render) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    budget._decimal_two_to.cache_clear()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not [thread for thread in threads if thread.is_alive()]
+    assert errors == []
+    assert results == [want] * 80
 
 
 #: run in a child process with the int->str cap given as its argument and a
