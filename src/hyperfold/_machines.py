@@ -7,11 +7,14 @@ status tuple ``(status, value, steps, peak_value)``, which ``Meter.run``
 folds back into the meter, turning a trip into its exception.
 
 The Ackermann and Knuth machines are one loop on ``(level, count)`` runs,
-:func:`_tower`, so their memory follows the level, not the step budget.
-The Conway machine takes one iteration per rule, so counters are kept in
-locals and compared against precomputed limits, with no attribute lookups
-or method calls in the hot path.  The digit cap is ``max_digits`` itself:
-a value's bit length against :func:`~hyperfold.budget.safe_bits`, then
+:func:`_tower`, and the Conway machine keeps its continuation frames as
+``(q, idx, count)`` runs.  Below the top run, which each keeps in locals,
+runs go in blocks (:func:`_push_run`), so no machine's memory follows the
+step budget, not even at a level or entry too large to reach.  The Conway
+machine still takes one loop pass per rule, with its counters in locals
+and no attribute lookups or method calls in the hot path.  The digit cap
+is ``max_digits`` itself: a value's bit length against
+:func:`~hyperfold.budget.safe_bits`, then
 :func:`~hyperfold.budget.reaches_cap`, so no machine builds
 ``10**max_digits`` unless a value comes within a few bits of it.
 """
@@ -32,6 +35,32 @@ from .budget import (
 )
 
 
+def _push_run(blocks, key, tag, count):
+    """Put a run of ``count`` frames at ``(key, tag)`` on ``blocks``.
+
+    A block ``(key, tag, count, n)`` is n runs of ``count`` frames each at
+    keys key, key + 1, ..., key + n - 1 from the top down, all with one
+    ``tag``.  The run joins the top block when that block's top run sits at
+    key + 1 with as many frames, and starts a block of its own otherwise.
+    """
+    if blocks:
+        below, below_tag, below_count, n = blocks[-1]
+        if below == key + 1 and below_count == count and below_tag == tag:
+            blocks[-1] = (key, tag, count, n + 1)
+            return
+    blocks.append((key, tag, count, 1))
+
+
+def _pop_run(blocks):
+    """Take the top run ``(key, tag, count)`` off non-empty ``blocks``."""
+    key, tag, count, n = blocks[-1]
+    if n == 1:
+        blocks.pop()
+    else:
+        blocks[-1] = (key + 1, tag, count, n - 1)
+    return key, tag, count
+
+
 def _tower(level, x, base_run, offset, max_steps, max_digits, steps, peak):
     """A tower's rewrite equations from one level-``level`` frame at ``x``.
 
@@ -49,37 +78,39 @@ def _tower(level, x, base_run, offset, max_steps, max_digits, steps, peak):
 
     Offset 0 is the paper's layer ``\\f -> foldn f 1``, 1 is ``\\f -> foldn f
     (f 1)``.  Run levels strictly decrease up the stack, so it holds at most
-    ``level + 1`` runs.  Values, steps, trip kinds and peaks are exactly
-    those of the literal machines in ``tests/_oracles.py``.
+    ``level + 1`` runs.  The top run is kept in locals and the runs below it
+    as blocks (:func:`_push_run`): descents from x = 1 leave one run at each
+    level they pass, as Ackermann's ``A(k, 0) = A(k-1, 1)`` does, and a
+    block holds them all, so a huge level costs no memory per level.
+    Values, steps, trip kinds and peaks are exactly those of the literal
+    machines in ``tests/_oracles.py``.
     """
     if reaches_cap(peak, max_digits):
         return (TRIP_MAGNITUDE, 0, steps, peak)
-    levels = [level]
-    counts = [1]
-    while levels:
-        k = levels[-1]
+    blocks = []
+    k, c = level, 1  # the top run
+    while True:
         if k == 0:
-            levels.pop()
             status, x, steps, peak = base_run(
-                x, counts.pop(), max_steps, max_digits, steps, peak
+                x, c, max_steps, max_digits, steps, peak
             )
             if status != OK:
                 return (status, 0, steps, peak)
-            continue
-        c = counts[-1]
-        if c == 1:
-            levels.pop()
-            counts.pop()
+            c = 0
         else:
-            counts[-1] = c - 1
-        steps += x + 1
-        if steps > max_steps:
-            return (TRIP_STEPS, 0, max_steps, peak)
-        if x + offset:
-            levels.append(k - 1)
-            counts.append(x + offset)
-        x = 1
-    return (OK, x, steps, peak)
+            c -= 1
+            steps += x + 1
+            if steps > max_steps:
+                return (TRIP_STEPS, 0, max_steps, peak)
+            if x + offset:
+                if c:
+                    _push_run(blocks, k, None, c)
+                k, c = k - 1, x + offset
+            x = 1
+        if not c:
+            if not blocks:
+                return (OK, x, steps, peak)
+            k, _, c = _pop_run(blocks)
 
 
 def _level1_run(n, count, max_steps, max_digits, steps, peak):
@@ -145,7 +176,13 @@ def conway_machine(entries, max_steps, max_digits, steps=0, peak=0):
     rev is the reversed chain (rewrites only ever touch the first two
     positions, so the tail is shared by index).  The general rule pushes a
     continuation frame (h0 - 1, idx) and descends into (h0, h1 - 1, idx);
-    a finished sub-value v resumes the top frame as (q', v, idx').  The
+    a finished sub-value v resumes the top frame as (q', v, idx').  With
+    h0 and idx fixed, the general rule fires until h1 = 1, so its frames
+    are one run ``(q, idx, count)``, pushed when the rule first fires; the
+    firings still take one pass and one step each.  A resume decrements the
+    top run's count, and a run that is done leaves the next one, from the
+    blocks below, in locals.  When sub-values recur, the runs left below
+    have equal counts at q, q - 1, ...: one block holds them.  The
     two-element base is one :func:`~hyperfold.budget.pow_counted` call,
     charged like every other power.  ``tests/_oracles.py`` keeps the
     machine as it was with a private power loop, ``conway_literal_machine``,
@@ -169,12 +206,8 @@ def conway_machine(entries, max_steps, max_digits, steps=0, peak=0):
             return (TRIP_STEPS, 0, max_steps, peak)
         return (OK, rev[0], steps, peak)
     h0, h1, idx = rev[0], rev[1], 2
-    frame_q = []
-    frame_i = []
-    push_q = frame_q.append
-    push_i = frame_i.append
-    pop_q = frame_q.pop
-    pop_i = frame_i.pop
+    blocks = []
+    q = i = count = 0  # the top run; count 0 is an empty stack
     while True:
         steps += 1
         if steps > max_steps:
@@ -186,11 +219,12 @@ def conway_machine(entries, max_steps, max_digits, steps=0, peak=0):
             )
             if status != OK:
                 return (status, 0, steps, peak)
-            if not frame_q:
+            if not count:
                 return (OK, value, steps, peak)
-            h0 = pop_q()
-            idx = pop_i()
-            h1 = value
+            h0, h1, idx = q, value, i
+            count -= 1
+            if not count and blocks:
+                q, i, count = _pop_run(blocks)
         elif h0 == 1 or h1 == 1:
             # a last written entry of 1 is dropped (h0 = h1), and a
             # next-to-last entry of 1 collapses the chain past it (h0 = 1,
@@ -199,6 +233,14 @@ def conway_machine(entries, max_steps, max_digits, steps=0, peak=0):
             h1 = rev[idx]
             idx += 1
         else:
-            push_q(h0 - 1)
-            push_i(idx)
+            # the general rule fires until h1 = 1, one pass and one step
+            # each, and every firing pushes the frame (h0 - 1, idx): a run
+            if count:
+                _push_run(blocks, q, i, count)
+            q, i, count = h0 - 1, idx, h1 - 1
             h1 -= 1
+            while h1 > 1:
+                steps += 1
+                if steps > max_steps:
+                    return (TRIP_STEPS, 0, max_steps, peak)
+                h1 -= 1

@@ -157,6 +157,35 @@ def test_ack_ref_trip_memory_is_bounded_by_runs():
     assert peak < 1 << 20, peak
 
 
+def test_ref_trip_memory_at_a_huge_level_is_bounded_by_blocks():
+    # a descent from level 10**30 leaves a run at every level it passes, and
+    # 7->69->3000000 a run at every q it resumes (its sub-values recur): a
+    # block holds each line of runs, so neither grows with the budget
+    for fn, args in ((ack_ref, (10**30, 1)), (conway_ref, ((7, 69, 3_000_000),))):
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceeded):
+                fn(*args, Budget(max_steps=30_000))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # two list slots per frame or run hold 0.8 MB here, a tuple per run
+        # 0.2-1.8 MB; blocks hold a few tuples
+        assert peak < 64 << 10, (fn.__name__, peak)
+
+
+def test_ack_machine_matches_literal_at_high_levels():
+    # levels of 4 and more stack runs of equal counts at consecutive levels,
+    # which the machine keeps as blocks; the literal machine takes one pass
+    # per step, so the budgets stop at 5000
+    for m, n in itertools.product((4, 5, 6, 12, 60), range(4)):
+        for max_steps in ACK_GRID_STEPS[:-2]:
+            for max_digits in (1, 3, 100):
+                want = _oracles.ack_literal_machine(m, n, max_steps, 10**max_digits)
+                got = ack_machine(m, n, max_steps, max_digits)
+                assert got == want, (m, n, max_steps, max_digits)
+
+
 def test_ack_heavy_point_needs_expanded_budget():
     # ack(4,1) costs exactly 2,862,984,010 equation applications: far over
     # the default step budget, so the default run must trip...
@@ -484,6 +513,34 @@ def test_conway_machine_matches_literal_sampled(chain, max_steps, max_digits, st
     args = (tuple(chain), max_steps, 10**max_digits, steps0)
     got = conway_machine(tuple(chain), max_steps, max_digits, steps0)
     assert got == _oracles.conway_literal_machine(*args)
+
+
+@pytest.mark.parametrize("max_steps", [10**5, 3 * 10**5])
+@pytest.mark.parametrize(
+    "chain",
+    [(3, 3, 3), (3, 4, 2, 2), (2, 3, 4), (1, 3_333_332, 2), (7, 69, 3_000_000)],
+    ids=lambda chain: "->".join(map(str, chain)),
+)
+def test_conway_machine_matches_literal_at_benchmark_budgets(chain, max_steps):
+    # the budgets of the benchmark's reference trips, where the stack holds
+    # long runs and, for 7->69->3000000, a growing line of them
+    got = conway_machine(chain, max_steps, B.max_digits)
+    assert got == _oracles.conway_literal_machine(chain, max_steps, 10**B.max_digits)
+
+
+def test_conway_ref_trip_memory_is_bounded_by_runs():
+    # one stack slot per general-rule firing held 1.6 MB on these trips at
+    # 10**5 steps (16 MB at 10**6, which tracemalloc would take seconds
+    # over); runs hold a few entries
+    for chain in ((3, 3, 3), (3, 4, 2, 2)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceeded):
+                conway_ref(chain, Budget(max_steps=10**5))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, (chain, peak)
 
 
 def test_conway_rejects_zero_entries():

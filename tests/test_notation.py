@@ -1,5 +1,6 @@
 import decimal
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from hyperfold.budget import (
     HyperError,
     int_to_decimal,
 )
+from hyperfold.hyperops import CLOSURE_DEPTH_LIMIT
 from hyperfold.notation import (
     Ack,
     ChainE,
@@ -202,6 +204,66 @@ def test_forms_agree_and_budgets_are_monotone_on_trees(expr, max_steps, max_digi
         assert evaluate(expr, form, large) == outcome, form
         values.append(outcome[0])
     assert len(set(values)) <= 1
+
+
+def _compound(e) -> int:
+    """The compound subtrees of ``e``, itself included.  A literal's value,
+    at most 99, is a cached small int."""
+    match e:
+        case NatLit():
+            return 0
+        case Ack(m, n):
+            return 1 + _compound(m) + _compound(n)
+        case Knuth(a, level, b):
+            return 1 + _compound(a) + _compound(level) + _compound(b)
+        case ChainE(items) | ConwayCall(items):
+            return 1 + sum(map(_compound, items))
+
+
+def _peak_and_digits(expr, form, max_steps):
+    tracemalloc.start()
+    try:
+        try:
+            stats = evaluate(expr, form, Budget(max_steps=max_steps))[1]
+        except HyperError as trip:
+            stats = trip.stats
+        return tracemalloc.get_traced_memory()[1], stats.peak_digits
+    finally:
+        tracemalloc.stop()
+
+
+@settings(max_examples=30)
+@given(exprs)
+def test_memory_follows_the_work_not_the_step_budget(expr):
+    """100 times the steps add to a run's traced peak at most a fixed amount
+    and a few values the size of its peak value.  A machine or fold that
+    kept a frame per step (about 16 B) would add 1.6 MB at 10**5 steps.
+
+    Fixed amount: what a run holds apart from values.  A reference machine
+    holds a trip's exception, stats and traceback (a few KiB) and its
+    blocks of runs.  A long descent or a recurring sub-value lengthens a
+    block without adding one, and a block is a tuple of about 100 B, so
+    64 KiB is room for hundreds.  A fold tower also holds, per layer, a
+    closure with its cells and tuple (about 350 B) and, at a trip, a frame
+    and a traceback object (about 300 B) for each of the at most three
+    Python calls a layer nests: under 1.5 KiB a layer.  A tower has at
+    most CLOSURE_DEPTH_LIMIT layers, and at most two are alive at once (a
+    chain of four entries has two carriers, each with its tower).
+
+    Values: the running multiply or power's two operands and product (3),
+    CPython's Karatsuba scratch for that product (under 3), the powers of
+    ten cached for the digit cap and for the peak's digit count (2), and
+    one finished argument per compound subtree of the tree, held while a
+    later argument runs.
+    """
+    fixed = {"reference": 64 << 10}
+    fixed["primitive"] = fixed["reference"] + 2 * CLOSURE_DEPTH_LIMIT * 1536
+    for form in ("reference", "primitive"):
+        small, _ = _peak_and_digits(expr, form, 10**3)
+        large, digits = _peak_and_digits(expr, form, 10**5)
+        value_bytes = 4 * -(-digits * 3322 // 30_000)  # 30-bit digits of 4 B
+        values = 3 + 3 + 2 + _compound(expr)
+        assert large - small <= fixed[form] + values * value_bytes, form
 
 
 def test_evaluate_rejects_non_positive_chain_items():
