@@ -119,7 +119,8 @@ def _level1_run(n, count, max_steps, max_digits, steps, peak):
     A frame from n takes n+1 descents and n+1 increments to n+2, its
     largest value, so frames 0..d-1 cost 2d(n+d) steps and end at n+2d.
     Every whole frame that fits the budget and stays below the cap is
-    charged at once; the next, if any, runs by the exact rules and trips.
+    charged at once; the next, if any, is one level-1 frame of
+    :func:`_tower` on :func:`~hyperfold.budget.add_run`, whose rules trip.
     """
     headroom = max(max_steps - steps, 0)  # a caller's steps may be past it
     d = min(count, (isqrt(n * n + 2 * headroom) - n) // 2)
@@ -131,10 +132,7 @@ def _level1_run(n, count, max_steps, max_digits, steps, peak):
         peak = n
     if d == count:
         return (OK, n, steps, peak)
-    steps += n + 1
-    if steps > max_steps:
-        return (TRIP_STEPS, 0, max_steps, peak)
-    return add_run(1, n + 1, max_steps, max_digits, steps, peak)
+    return _tower(1, n, add_run, 1, max_steps, max_digits, steps, peak)
 
 
 def ack_machine(m0, n0, max_steps, max_digits, steps=0, peak=0):
@@ -195,16 +193,13 @@ def conway_machine(entries, max_steps, max_digits, steps=0, peak=0):
         return (TRIP_MAGNITUDE, 0, steps, peak)
     rev = tuple(reversed(entries))
     end = len(rev)
-    if end == 0:
+    if end < 2:
+        # conway() is 1 and conway(a) is a, one rule each
         steps += 1
         if steps > max_steps:
             return (TRIP_STEPS, 0, max_steps, peak)
-        return (OK, 1, steps, 1 if peak < 1 else peak)
-    if end == 1:
-        steps += 1
-        if steps > max_steps:
-            return (TRIP_STEPS, 0, max_steps, peak)
-        return (OK, rev[0], steps, peak)
+        value = rev[0] if end else 1
+        return (OK, value, steps, max(peak, value))
     h0, h1, idx = rev[0], rev[1], 2
     blocks = []
     q = i = count = 0  # the top run; count 0 is an empty stack

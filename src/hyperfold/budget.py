@@ -44,11 +44,12 @@ reference machine's level-0 runs call it.
 
 :func:`int_to_decimal` and :func:`decimal_to_int` own integer text and never
 read the interpreter's int<->str cap; messages and reprs show ints through
-:func:`value_text`, so none fails past the cap.  A value of more than
-:data:`_SPLIT_BITS` bits renders by a binary split whose ``Decimal`` powers
-of two come from one bounded cache, as the powers of ten do: the split
-depends on the bit length alone, so renders of a recurring size, such as a
-session's repeated ``2^^5``, build no power.
+:func:`value_text`, so none fails past the cap.  One size rule decides how
+a value renders: ``str()`` up to :data:`_LEAF_BITS` bits, which no cap
+refuses, and past it a binary split whose ``Decimal`` powers of two come
+from ``decimal``'s exact ``power`` and one cache bounded in bytes, as the
+powers of ten do: the split depends on the bit length alone, so renders of
+a recurring size, such as a session's repeated ``2^^5``, build no power.
 
 :class:`Record` is the frozen value class of :class:`Budget`,
 :class:`EvalStats`, the syntax nodes and the CLI's configuration.
@@ -57,6 +58,9 @@ session's repeated ``2^^5``, build no power.
 from __future__ import annotations
 
 import functools
+import sys
+import threading
+from collections import OrderedDict, namedtuple
 from math import log, log10
 
 #: log2(10) lies strictly between _LOG2_10_NUM / _LOG2_10_DEN and
@@ -201,14 +205,64 @@ def decimal_digits(value: int) -> int:
     return digits
 
 
-#: the sizes each power cache keeps (powers of ten for digit counts, the
+#: the bytes each power cache may hold (powers of ten for digit counts, the
 #: digit cap and the decimal parser; the renderer's ``Decimal`` powers of
-#: two): bounded, so that a long session holds the sizes it saw last, not
-#: every size it ever saw
-_POW10_CACHE_SIZE = 64
+#: two), so that a long session holds the sizes it saw last, not every size
+#: it ever saw
+_POWER_CACHE_BYTES = 16 * 2**20
+
+_CacheInfo = namedtuple("CacheInfo", "hits misses currsize nbytes")
 
 
-@functools.lru_cache(maxsize=_POW10_CACHE_SIZE)
+def _power_cache(fn):
+    """``fn`` of one argument, its results kept while they hold at most
+    :data:`_POWER_CACHE_BYTES` bytes (by ``sys.getsizeof``), the least
+    recently used dropped first; a result larger than that is not kept.
+
+    Every thread shares the entries, under one lock.  ``cache_info()``
+    gives the hits, the misses, the entries and the bytes held, and
+    ``cache_clear()`` empties the cache.
+    """
+    entries = OrderedDict()  # argument -> (result, its bytes)
+    lock = threading.Lock()
+    hits = misses = held = 0
+
+    @functools.wraps(fn)
+    def cached(arg):
+        nonlocal hits, misses, held
+        with lock:
+            entry = entries.get(arg)
+            if entry is not None:
+                hits += 1
+                entries.move_to_end(arg)
+                return entry[0]
+        value = fn(arg)
+        size = sys.getsizeof(value)
+        with lock:
+            misses += 1
+            if arg not in entries and size <= _POWER_CACHE_BYTES:
+                entries[arg] = (value, size)
+                held += size
+                while held > _POWER_CACHE_BYTES:
+                    held -= entries.popitem(last=False)[1][1]
+        return value
+
+    def cache_info():
+        with lock:
+            return _CacheInfo(hits, misses, len(entries), held)
+
+    def cache_clear():
+        nonlocal hits, misses, held
+        with lock:
+            entries.clear()
+            hits = misses = held = 0
+
+    cached.cache_info = cache_info
+    cached.cache_clear = cache_clear
+    return cached
+
+
+@_power_cache
 def _pow10(e: int) -> int:
     return 10**e
 
@@ -261,10 +315,9 @@ def pow_reaches_cap(base: int, exponent: int, max_digits: int) -> bool:
     return reaches_cap(base**exponent, max_digits)
 
 
-#: a value of more bits than this (about 9,900 digits) renders by
-#: :func:`_split_to_decimal`; below it ``str()`` is faster
-_SPLIT_BITS = 2**15
-#: the pieces :func:`_split_to_decimal` converts directly
+#: a value of more bits than this renders by :func:`_split_to_decimal`, in
+#: pieces of at most this many bits; up to it ``str()`` renders it whole, as
+#: 2,048 bits (617 digits) is below the least int->str cap CPython accepts
 _LEAF_BITS = 2048
 #: :func:`decimal_to_int`'s piece size: the least int<->str cap CPython takes
 _PARSE_DIGITS = 640
@@ -272,15 +325,12 @@ _PARSE_DIGITS = 640
 
 def int_to_decimal(value: int) -> str:
     """Plain decimal rendering of an integer under any int<->str cap:
-    ``str(value)`` up to :data:`_SPLIT_BITS` bits unless the cap refuses
-    it, else the subquadratic :func:`_split_to_decimal`."""
+    ``str(value)`` up to :data:`_LEAF_BITS` bits, which no cap refuses, else
+    the subquadratic :func:`_split_to_decimal`."""
     if value < 0:
         return "-" + int_to_decimal(-value)
-    if value.bit_length() <= _SPLIT_BITS:
-        try:
-            return str(value)
-        except ValueError:  # past the int->str cap
-            pass
+    if value.bit_length() <= _LEAF_BITS:
+        return str(value)
     return _split_to_decimal(value)
 
 
@@ -301,7 +351,7 @@ def _split_to_decimal(value: int) -> str:
     thread's decimal context and the int<->str cap are never read or set.
     The split points depend on the bit length alone, so a value of a size
     rendered recently finds its powers of two in :func:`_decimal_two_to`,
-    which holds the last :data:`_POW10_CACHE_SIZE` sizes, for every call
+    which holds up to :data:`_POWER_CACHE_BYTES` of them, for every call
     and thread.
     """
     import decimal
@@ -335,21 +385,14 @@ def _exact_context():
     )
 
 
-@functools.lru_cache(maxsize=_POW10_CACHE_SIZE)
+@_power_cache
 def _decimal_two_to(bits: int):
     """``2**bits`` as an exact ``Decimal``, from the one bounded cache of
     :func:`_split_to_decimal`'s powers of two: a long session holds the
     sizes it rendered last, as :func:`_pow10` does for powers of ten."""
     import decimal
 
-    if bits <= _LEAF_BITS:
-        return decimal.Decimal(1 << bits)
-    ctx = _exact_context()
-    if bits & 1:
-        power = _decimal_two_to(bits - 1)
-        return ctx.add(power, power)
-    power = _decimal_two_to(bits >> 1)
-    return ctx.multiply(power, power)
+    return _exact_context().power(decimal.Decimal(2), bits)
 
 
 def decimal_to_int(text: str) -> int:

@@ -201,13 +201,11 @@ def eval_conway_prim(entries: Sequence[int], meter: Meter) -> int:
         meter.note(e)
     # front end: trivial lengths, then reverse, reduce every entry by one,
     # and hand (tail, q, p) to the fold-built back end
-    if len(chain) == 0:
+    if len(chain) < 2:
         meter.spend()
-        meter.note(1)
-        return 1
-    if len(chain) == 1:
-        meter.spend()
-        return chain[0]
+        value = chain[0] if chain else 1
+        meter.note(value)
+        return value
     _ensure_depth(len(chain), meter)
     meter.spend(len(chain))  # the subtract-one pass
     reduced = [e - 1 for e in reversed(chain)]

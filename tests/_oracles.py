@@ -5,7 +5,8 @@ equations) and shares no code with the package; expected values in the test
 tables were produced by these before being frozen.  ``count_ack_steps``
 additionally gives the exact number of equation applications the rewrite
 evaluator must account for, ``ack_cost`` the same count in closed form
-for m <= 3 at any n, and ``ack_literal_machine``,
+for m <= 3 at any n, ``knuth_cost`` the Knuth count from its recurrence,
+and ``ack_literal_machine``,
 ``knuth_literal_machine`` and ``conway_literal_machine`` are the unshortcut
 work-stack rewriters used to pin down the production machines' accounting,
 and ``first_power_reaching`` the exact trip point of a multiply run.
@@ -138,6 +139,28 @@ def ack_cost(m: int, n: int) -> int:
             cost += 1 + ack_cost(2, 2 ** (k + 3) - 3)
         return cost
     raise ValueError("closed forms are derived for m <= 3 only")
+
+
+def knuth_cost(a: int, n: int, b: int) -> int:
+    """The equation applications of ``knuth(a, n, b)``, the steps
+    ``knuth_literal_machine`` takes, from the rewrite equations.
+
+    Write a↑^k x for ``knuth(a, k, x)``.  A level-0 frame multiplies once:
+    T(0, x) = 1.  A level-k >= 1 frame at x applies the decrement rule x
+    times, each pushing a level-(k-1) frame below it, and then the rule at
+    0, which sets 1: one descent of x + 1 steps.  The x level-(k-1) frames
+    then run in turn from 1 = a↑^k 0, the i-th taking a↑^k i to
+    a↑^(k-1) (a↑^k i) = a↑^k (i+1), so
+
+        T(k, x) = x + 1 + sum(T(k-1, a↑^k i) for i < x),
+
+    and T(1, x) = 2x + 1, as every level-0 frame is one step.
+    """
+    if n == 0:
+        return 1
+    if n == 1:
+        return 2 * b + 1
+    return b + 1 + sum(knuth_cost(a, n - 1, knuth(a, n, i)) for i in range(b))
 
 
 def first_power_reaching(val, a, mag_limit):

@@ -1,5 +1,8 @@
+import decimal
 import os
+import sys
 
+import pytest
 from hypothesis import settings
 
 # The CLI tests start `python -m hyperfold.cli` in child processes; give
@@ -13,3 +16,26 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
 # taking longer than a wall-clock deadline on a slow machine.
 settings.register_profile("deterministic", derandomize=True, deadline=None)
 settings.load_profile("deterministic")
+
+
+def _interpreter_state():
+    context = decimal.getcontext()
+    return (
+        sys.getrecursionlimit(),
+        sys.get_int_max_str_digits(),
+        sys.getswitchinterval(),
+        context.prec,
+        context.Emax,
+        context.Emin,
+        context.rounding,
+        dict(context.traps),
+    )
+
+
+@pytest.fixture(autouse=True)
+def _interpreter_state_unchanged():
+    # library calls share the interpreter with their caller, so no test may
+    # leave a process-global limit or the thread's decimal context changed
+    before = _interpreter_state()
+    yield
+    assert _interpreter_state() == before

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import _oracles
-from hyperfold import budget
+from hyperfold import budget, cli
 from hyperfold._machines import ack_machine, conway_machine, knuth_machine
 from hyperfold.budget import (
     OK,
@@ -95,26 +95,63 @@ def test_decimal_digits_builds_at_most_one_power_of_ten():
     assert budget._pow10.cache_info().misses == 0
 
 
-def test_power_of_ten_caches_stay_bounded():
-    # 300 results of distinct sizes, up to 90,309 digits, each sized by stats
-    for k in range(1000, 300001, 1000):
-        assert knuth_ref(2, 1, k)[0] == 2**k
-    assert budget._pow10.cache_info().currsize <= budget._POW10_CACHE_SIZE
-    # 100 renders of distinct sizes past the split, 10,000 to 39,700 digits
-    for k in range(10_000, 40_000, 300):
-        assert int_to_decimal(10**k) == "1" + "0" * k
-    info = budget._decimal_two_to.cache_info()
-    assert info.currsize <= budget._POW10_CACHE_SIZE < info.misses
+def test_power_of_ten_caches_stay_bounded(monkeypatch):
+    caches = (budget._pow10, budget._decimal_two_to)
+
+    def render_and_count(bits):
+        value = 1 << (bits - 1)  # of that many bits, and quick to render
+        assert len(int_to_decimal(value)) == decimal_digits(value)
+        for cache in caches:
+            assert cache.cache_info().nbytes <= budget._POWER_CACHE_BYTES
+
+    for cache in caches:
+        cache.cache_clear()
+    try:
+        # one value of about 10**6 digits fits the real bound in each cache
+        render_and_count(next(b for b in range(3_300_000, 3_400_000) if _bracket_is_open(b)))
+        # 70 values of distinct sizes near 10**4 digits, with the bound
+        # scaled down as far: every one builds a power of ten of about 4 KB
+        # and Decimal powers of two of as much again, so both caches drop
+        # their oldest sizes and keep at most their byte bound
+        monkeypatch.setattr(budget, "_POWER_CACHE_BYTES", 64 * 2**10)
+        for cache in caches:
+            cache.cache_clear()
+        bits = [b for b in range(33_000, 33_300) if _bracket_is_open(b)]
+        for b in bits[:: len(bits) // 70][:70]:
+            render_and_count(b)
+        for cache in caches:
+            info = cache.cache_info()
+            assert info.currsize < info.misses, cache.__name__
+    finally:
+        for cache in caches:
+            cache.cache_clear()
     # a meter builds no power of ten, not even its cap, 10**100000 (41 KB)
-    misses = budget._pow10.cache_info()
     tracemalloc.start()
     try:
         Meter(Budget())
         _, peak_bytes = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert budget._pow10.cache_info() == misses
+    assert budget._pow10.cache_info().misses == 0
     assert peak_bytes < 2000
+
+
+def _bracket_is_open(bits):
+    """Whether decimal_digits needs a power of ten for a value of bits."""
+    low = 1 + (bits - 1) * budget._LOG2_10_DEN // (budget._LOG2_10_NUM + 1)
+    return low < 1 + bits * budget._LOG2_10_DEN // budget._LOG2_10_NUM
+
+
+def test_a_warm_repl_line_builds_no_power(capsys):
+    # a REPL line that repeats 2^^5 (65,537 bits) sizes and renders it from
+    # both caches, with no miss in either
+    caches = (budget._pow10, budget._decimal_two_to)
+    assert cli.run_eval("2^^5", cli.Config()) == 0
+    before = [cache.cache_info().misses for cache in caches]
+    capsys.readouterr()
+    assert cli.run_eval("2^^5", cli.Config()) == 0
+    assert [cache.cache_info().misses for cache in caches] == before
+    assert len(capsys.readouterr().out.splitlines()[0]) == 19729
 
 
 def _cap_boundary_values(max_digits):
@@ -390,15 +427,14 @@ def test_decimal_conversion_in_pieces_under_the_smallest_cap():
 _SPLIT_RENDER_PIN = """
 import random, sys
 from hyperfold.budget import (
-    _LEAF_BITS, _SPLIT_BITS, _decimal_two_to, _split_to_decimal, decimal_to_int,
-    int_to_decimal
+    _LEAF_BITS, _decimal_two_to, _split_to_decimal, decimal_to_int, int_to_decimal
 )
 sys.set_int_max_str_digits(0)
 rng = random.Random(14)
 sizes = sorted({round(10 ** (i / 4)) for i in range(21)})  # 1 to 10**5 digits
 values = [rng.randrange(10 ** (n - 1), 10**n) for n in sizes]
 for k in (_LEAF_BITS - 1, _LEAF_BITS, _LEAF_BITS + 1, 2 * _LEAF_BITS,
-          _SPLIT_BITS - 1, _SPLIT_BITS, _SPLIT_BITS + 1, 2 * _SPLIT_BITS):
+          2**15 - 1, 2**15, 2**15 + 1, 2 * 2**15):
     values += [2**k - 1, 2**k, 2**k + 1]
 for k in (1, 617, 9864, 9865, 30000):
     values += [10**k - 1, 10**k, 10**k + 1]
@@ -440,7 +476,7 @@ def test_renders_agree_across_threads():
     # threads render three sizes past the split from a cold cache, 20 times
     # each, switching as often as the interpreter allows
     rng = random.Random(17)
-    sizes = (budget._SPLIT_BITS + 1, 2 * budget._SPLIT_BITS + 3, 4 * budget._SPLIT_BITS)
+    sizes = (2**15 + 1, 2 * 2**15 + 3, 4 * 2**15)
     values = [rng.getrandbits(bits) | 1 << (bits - 1) for bits in sizes]
     want = [int_to_decimal(value) for value in values]
     results, errors = [], []
@@ -455,6 +491,10 @@ def test_renders_agree_across_threads():
     threads = [threading.Thread(target=render) for _ in range(4)]
     interval = sys.getswitchinterval()
     budget._decimal_two_to.cache_clear()
+    render()  # the sizes and bytes one thread leaves in the cache
+    alone = budget._decimal_two_to.cache_info()
+    results.clear()
+    budget._decimal_two_to.cache_clear()
     sys.setswitchinterval(1e-6)
     try:
         for thread in threads:
@@ -466,6 +506,8 @@ def test_renders_agree_across_threads():
     assert not [thread for thread in threads if thread.is_alive()]
     assert errors == []
     assert results == [want] * 80
+    together = budget._decimal_two_to.cache_info()  # no update lost
+    assert (together.currsize, together.nbytes) == (alone.currsize, alone.nbytes)
 
 
 #: run in a child process with the int->str cap given as its argument and a

@@ -15,6 +15,7 @@ from hyperfold.budget import (
     BudgetExceeded,
     ConstructionLimit,
     DomainError,
+    EvalStats,
     HyperError,
     MagnitudeExceeded,
 )
@@ -276,6 +277,56 @@ def test_knuth_magnitude_trip():
         knuth_ref(10, 1, 50, Budget(max_steps=10**6, max_digits=3))
     with pytest.raises(MagnitudeExceeded):
         knuth_prim(10, 1, 50, Budget(max_steps=10**6, max_digits=3))
+
+
+def test_knuth_ref_costs_exactly_the_recurrence():
+    # every case the machine finishes in 10**6 steps under a 100-digit cap:
+    # the value comes at exactly C steps, and a budget of C - 1 trips there
+    cases = 0
+    for a, n, b in itertools.product(range(6), range(5), range(6)):
+        budget = Budget(max_steps=10**6, max_digits=100)
+        try:
+            value, stats = knuth_ref(a, n, b, budget)
+        except HyperError:
+            continue
+        cost = _oracles.knuth_cost(a, n, b)
+        assert (value, stats.steps_used) == (_oracles.knuth(a, n, b), cost)
+        if cost > 1:  # a budget is at least one step
+            with pytest.raises(BudgetExceeded) as trip:
+                knuth_ref(a, n, b, Budget(max_steps=cost - 1, max_digits=100))
+            assert trip.value.stats.steps_used == cost - 1
+        cases += 1
+    assert cases == 143
+
+
+def test_knuth_ref_costs_and_caps_at_large_arguments():
+    # far past the literal machine's reach: 2^^5 = 2**65536 at T(2, 5)
+    cost = _oracles.knuth_cost(2, 2, 5)
+    assert cost == 131_129
+    assert knuth_ref(2, 2, 5, Budget(max_steps=cost)) == (
+        2**65536,
+        EvalStats(steps_used=cost, peak_digits=19_729),
+    )
+    with pytest.raises(BudgetExceeded) as trip:
+        knuth_ref(2, 2, 5, Budget(max_steps=cost - 1))
+    assert trip.value.stats.steps_used == 131_128
+    # one level-1 frame at b: a descent of b + 1 steps, then b multiplies
+    assert _oracles.knuth_cost(2, 1, 10**6) == 2_000_001
+    value, stats = knuth_ref(2, 1, 10**6, Budget(max_digits=400_000))
+    assert value == 2**10**6
+    assert stats == EvalStats(steps_used=2_000_001, peak_digits=301_030)
+    assert _oracles.knuth_cost(10, 1, 99_999) == 199_999
+    value, stats = knuth_ref(10, 1, 99_999)
+    assert value == 10**99_999
+    assert stats == EvalStats(steps_used=199_999, peak_digits=100_000)
+    # 10^100000 reaches the default cap: after the descent of 100,001 steps
+    # the values are 10^j, so the trip comes at the first multiply j whose
+    # value reaches 10**100000, and that value is the peak
+    j, first = _oracles.first_power_reaching(1, 10, 10**B.max_digits)
+    assert (j, first) == (100_000, 10**100_000)
+    with pytest.raises(MagnitudeExceeded) as trip:
+        knuth_ref(10, 1, 100_000)
+    assert trip.value.stats == EvalStats(steps_used=200_001, peak_digits=100_001)
 
 
 KNUTH_GRID_STEPS = (1, 2, 3, 5, 10, 50, 300, 5000, 10**6)
