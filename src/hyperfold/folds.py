@@ -37,13 +37,15 @@ def foldn(step: Callable[[A], A], base: A, n: int) -> A:
 
     foldn g e 0 == e
     foldn g e n == g (foldn g e (n - 1))   (n > 0)
+
+    ``n`` is an ``int`` of any size (``range`` takes indices past
+    ``sys.maxsize``, which a fold may reach before its step trips); a
+    negative one raises ``ValueError`` and a non-``int`` ``TypeError``.
     """
     if n < 0:
         raise ValueError(f"foldn index must be non-negative, got {value_text(n)}")
     acc = base
-    remaining = n
-    while remaining > 0:
-        remaining -= 1
+    for _ in range(n):
         acc = step(acc)
     return acc
 

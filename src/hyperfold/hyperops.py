@@ -20,12 +20,13 @@ Each function of the hierarchy is implemented twice:
   subtract 1`` (free); ``step`` is otherwise the identity.  One step is
   charged per application of a generator (``succ``, ``times_a``, ``cpow``)
   or transformer (``layer``, ``aux``) and per entry into a closure they
-  build.  Fold fusion belongs to the generator: one that carries
-  ``iterate(v, c)`` runs ``foldn gen v c`` in closed form, charged as its c
-  applications.  Only ``times_a`` has one, so ``foldn (a*) 1 x = a^x`` is
-  one run of x multiplies (:func:`~hyperfold.budget.mul_run`, through
-  ``Meter.run``) with the steps, peak and trip point of x entries into
-  ``times_a``.
+  build; ``succ`` and ``times_a`` charge theirs and note the value they
+  yield in one call, ``meter.spend(1, v)``.  Fold fusion belongs to the
+  generator: one that carries ``iterate(v, c)`` runs ``foldn gen v c`` in
+  closed form, charged as its c applications.  Only ``times_a`` has one,
+  so ``foldn (a*) 1 x = a^x`` is one run of x multiplies
+  (:func:`~hyperfold.budget.mul_run`, through ``Meter.run``) with the
+  steps, peak and trip point of x entries into ``times_a``.
   ``eval_conway_prim`` is the front end and hands its reduced chain to
   ``eval_cback_prim``.
 
@@ -133,10 +134,7 @@ def eval_ack_prim(m: int, n: int, meter: Meter) -> int:
     meter.note(n)
 
     def succ(x: int) -> int:
-        meter.spend()
-        v = x + 1
-        meter.note(v)
-        return v
+        return meter.spend(1, x + 1)
 
     # foldn (\f -> foldn f (f 1)) (+1) m n
     return _tower(succ, m, n, meter, lambda f: f(1))
@@ -163,10 +161,7 @@ def eval_knuth_prim(a: int, n: int, b: int, meter: Meter) -> int:
     meter.note(n)
 
     def times_a(x: int) -> int:
-        meter.spend()
-        v = a * x
-        meter.note(v)
-        return v
+        return meter.spend(1, a * x)
 
     # fold fusion: foldn (a*) v c = v * a^c, one counted run of c multiplies
     times_a.iterate = lambda v, c: meter.run(mul_run, v, a, c)

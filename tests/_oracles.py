@@ -6,6 +6,7 @@ tables were produced by these before being frozen.  ``count_ack_steps``
 additionally gives the exact number of equation applications the rewrite
 evaluator must account for, ``ack_cost`` the same count in closed form
 for m <= 3 at any n, ``knuth_cost`` the Knuth count from its recurrence,
+``ack_prim_cost`` and ``knuth_prim_cost`` the steps the fold forms charge,
 and ``ack_literal_machine``,
 ``knuth_literal_machine`` and ``conway_literal_machine`` are the unshortcut
 work-stack rewriters used to pin down the production machines' accounting,
@@ -161,6 +162,71 @@ def knuth_cost(a: int, n: int, b: int) -> int:
     if n == 1:
         return 2 * b + 1
     return b + 1 + sum(knuth_cost(a, n - 1, knuth(a, n, i)) for i in range(b))
+
+
+def ack_prim_cost(m: int, n: int) -> int:
+    """The steps ``ack_prim(m, n)`` charges: one per application of
+    ``layer`` or ``succ`` and one per entry into a closure ``layer`` builds.
+
+    ``foldn layer succ m`` applies ``layer`` m times, and the function it
+    builds is entered at n.  Write C(k, y) for the cost of entering the
+    level-k function at y.  Level 0 is ``succ``, one application:
+    C(0, y) = 1.  A level-k >= 1 closure is entered once, builds its start
+    ``f 1`` = A(k-1, 1) = A(k, 0) at C(k-1, 1), and then applies f y times,
+    the i-th taking A(k, i) to A(k-1, A(k, i)) = A(k, i+1), so
+
+        C(k, y) = 1 + C(k-1, 1) + sum(C(k-1, A(k, i)) for i < y),
+
+    and the steps are m + C(m, n).  With A(1, i) = i + 2, A(2, i) = 2i + 3
+    and A(3, i) = 2^(i+3) - 3:
+
+    * C(1, y) = 1 + 1 + y = y + 2;
+    * C(2, y) = 1 + 3 + sum(2i + 5 for i < y) = y^2 + 4y + 4 = (y + 2)^2;
+    * C(3, y) = 1 + 9 + sum((2^(i+3) - 1)^2 for i < y).
+    """
+
+    def cost(k: int, y: int) -> int:
+        if k == 0:
+            return 1
+        if k == 1:
+            return y + 2
+        if k == 2:
+            return (y + 2) ** 2
+        if k == 3:
+            return 10 + sum((2 ** (i + 3) - 1) ** 2 for i in range(y))
+        steps = sum(cost(k - 1, ack(k, i)) for i in range(y))
+        return 1 + cost(k - 1, 1) + steps
+
+    return m + cost(m, n)
+
+
+def knuth_prim_cost(a: int, n: int, b: int) -> int:
+    """The steps ``knuth_prim(a, n, b)`` charges: one per application of
+    ``layer`` or ``times_a`` and one per entry into a closure ``layer``
+    builds.
+
+    ``foldn layer times_a n`` applies ``layer`` n times, and the function it
+    builds is entered at b.  Write a↑^k x for ``knuth(a, k, x)`` and K(k, y)
+    for the cost of entering the level-k function at y.  Level 0 is
+    ``times_a``, one application: K(0, y) = 1.  A level-k >= 1 closure is
+    entered once, starts from 1 = a↑^k 0 at no cost, and applies f y times,
+    the i-th taking a↑^k i to a↑^(k-1) (a↑^k i) = a↑^k (i+1), so
+
+        K(k, y) = 1 + sum(K(k-1, a↑^k i) for i < y),
+
+    and the steps are n + K(n, b).  At level 1 the y multiplies are one
+    fused run charged as its y applications, K(1, y) = y + 1, as the sum
+    gives.
+    """
+
+    def cost(k: int, y: int) -> int:
+        if k == 0:
+            return 1
+        if k == 1:
+            return y + 1
+        return 1 + sum(cost(k - 1, knuth(a, k, i)) for i in range(y))
+
+    return n + cost(n, b)
 
 
 def first_power_reaching(val, a, mag_limit):

@@ -95,6 +95,11 @@ def test_decimal_digits_builds_at_most_one_power_of_ten():
     assert budget._pow10.cache_info().misses == 0
 
 
+def test_power_of_ten_is_ten_to_the_power():
+    for e in (0, 1, 640, 19_729, 10**5):
+        assert budget._pow10.__wrapped__(e) == 10**e, e
+
+
 def test_power_of_ten_caches_stay_bounded(monkeypatch):
     caches = (budget._pow10, budget._decimal_two_to)
 
@@ -234,6 +239,23 @@ def test_meter_note_trips_on_magnitude():
     meter.note(999)
     with pytest.raises(MagnitudeExceeded):
         meter.note(1000)
+
+
+def test_meter_spend_charges_a_step_then_notes_its_value():
+    meter = Meter(Budget(max_steps=2, max_digits=3))
+    assert meter.spend(1, 500) == 500
+    assert meter.spend(1, 7) == 7
+    assert (meter.steps, meter.peak) == (2, 500)  # 7 leaves the peak as it was
+    # at steps == max_steps the step trips first, and the value is not noted
+    with pytest.raises(BudgetExceeded) as trip:
+        meter.spend(1, 10**6)
+    assert trip.value.stats == EvalStats(steps_used=2, peak_digits=3)
+    assert meter.peak == 500
+    # a value at the cap trips with its step counted
+    meter = Meter(Budget(max_steps=2, max_digits=3))
+    with pytest.raises(MagnitudeExceeded) as trip:
+        meter.spend(1, 1000)
+    assert trip.value.stats == EvalStats(steps_used=1, peak_digits=4)
 
 
 def test_stats_combined():

@@ -37,6 +37,29 @@ def test_foldn_rejects_negative_index():
         foldn(lambda x: x, 0, -1)
 
 
+def test_foldn_index_is_any_int():
+    class Stop(Exception):
+        pass
+
+    calls = []
+
+    def step(x):
+        calls.append(x)
+        if len(calls) == 3:
+            raise Stop
+        return x + 1
+
+    # an index past sys.maxsize runs until its step stops it
+    with pytest.raises(Stop):
+        foldn(step, 0, 10**30)
+    assert calls == [0, 1, 2]
+    with pytest.raises(TypeError):
+        foldn(step, 0, 2.5)
+    with pytest.raises(ValueError):
+        foldn(step, 0, -(10**30))
+    assert len(calls) == 3
+
+
 def test_foldr_does_not_mutate_input():
     xs = [3, 1, 2]
     foldr_seq(lambda x, acc: acc + [x], [], xs)

@@ -249,6 +249,45 @@ def test_ack_prim_matches_literal_sampled(m, n, max_steps, max_digits):
     assert _outcome(eval_ack_prim, m, n, budget=budget) == want
 
 
+def test_ack_prim_costs_exactly_the_recurrence():
+    # every case the fold form finishes in 10**5 steps: the value comes at
+    # exactly C steps, and a budget of C - 1 trips there
+    cases = 0
+    for m, n in itertools.product(range(5), range(6)):
+        try:
+            value, stats = ack_prim(m, n, Budget(max_steps=10**5))
+        except HyperError:
+            continue
+        cost = _oracles.ack_prim_cost(m, n)
+        assert (value, stats.steps_used) == (_oracles.ack(m, n), cost), (m, n)
+        if cost > 1:  # a budget is at least one step
+            with pytest.raises(BudgetExceeded) as trip:
+                ack_prim(m, n, Budget(max_steps=cost - 1))
+            assert trip.value.stats.steps_used == cost - 1, (m, n)
+        cases += 1
+    assert cases == 25
+
+
+@pytest.mark.parametrize(
+    "m, n, value, cost",
+    [
+        (1, 10**6, 10**6 + 2, 1_000_003),
+        (2, 1000, 2003, 1_004_006),
+        (3, 8, 2045, 1_394_021),
+    ],
+)
+def test_ack_prim_costs_the_closed_form_at_large_n(m, n, value, cost):
+    # far past the literal fold form's grid, one closed form per level
+    assert _oracles.ack_prim_cost(m, n) == cost
+    assert ack_prim(m, n, Budget(max_steps=cost)) == (
+        value,
+        EvalStats(steps_used=cost, peak_digits=len(str(value))),
+    )
+    with pytest.raises(BudgetExceeded) as trip:
+        ack_prim(m, n, Budget(max_steps=cost - 1))
+    assert trip.value.stats.steps_used == cost - 1
+
+
 # --- Knuth up-arrows -------------------------------------------------------
 
 
@@ -327,6 +366,53 @@ def test_knuth_ref_costs_and_caps_at_large_arguments():
     with pytest.raises(MagnitudeExceeded) as trip:
         knuth_ref(10, 1, 100_000)
     assert trip.value.stats == EvalStats(steps_used=200_001, peak_digits=100_001)
+
+
+def test_knuth_prim_costs_exactly_the_recurrence():
+    # the cases of test_knuth_ref_costs_exactly_the_recurrence, in the fold
+    # form, at C and C - 1
+    cases = 0
+    for a, n, b in itertools.product(range(6), range(5), range(6)):
+        budget = Budget(max_steps=10**6, max_digits=100)
+        try:
+            value, stats = knuth_prim(a, n, b, budget)
+        except HyperError:
+            continue
+        cost = _oracles.knuth_prim_cost(a, n, b)
+        assert (value, stats.steps_used) == (_oracles.knuth(a, n, b), cost)
+        if cost > 1:  # a budget is at least one step
+            with pytest.raises(BudgetExceeded) as trip:
+                knuth_prim(a, n, b, Budget(max_steps=cost - 1, max_digits=100))
+            assert trip.value.stats.steps_used == cost - 1
+        cases += 1
+    assert cases == 143
+
+
+def test_knuth_prim_costs_and_caps_at_large_arguments():
+    # 2^^5 = 2**65536 at n + K(2, 5)
+    cost = _oracles.knuth_prim_cost(2, 2, 5)
+    assert cost == 65_567
+    assert knuth_prim(2, 2, 5, Budget(max_steps=cost)) == (
+        2**65536,
+        EvalStats(steps_used=cost, peak_digits=19_729),
+    )
+    with pytest.raises(BudgetExceeded) as trip:
+        knuth_prim(2, 2, 5, Budget(max_steps=cost - 1))
+    assert trip.value.stats.steps_used == 65_566
+    # one layer, one closure entry, then one fused run of b multiplies
+    assert _oracles.knuth_prim_cost(2, 1, 10**6) == 1_000_002
+    value, stats = knuth_prim(2, 1, 10**6, Budget(max_digits=400_000))
+    assert value == 2**10**6
+    assert stats == EvalStats(steps_used=1_000_002, peak_digits=301_030)
+    assert _oracles.knuth_prim_cost(10, 1, 99_999) == 100_001
+    value, stats = knuth_prim(10, 1, 99_999)
+    assert value == 10**99_999
+    assert stats == EvalStats(steps_used=100_001, peak_digits=100_000)
+    # the values are 10^j after two steps, so 10**100000 trips the default
+    # cap at its own multiply, j = 100,000, and is the peak
+    with pytest.raises(MagnitudeExceeded) as trip:
+        knuth_prim(10, 1, 100_000)
+    assert trip.value.stats == EvalStats(steps_used=100_002, peak_digits=100_001)
 
 
 KNUTH_GRID_STEPS = (1, 2, 3, 5, 10, 50, 300, 5000, 10**6)
