@@ -29,7 +29,8 @@ returns a status tuple ``(status, value, steps, peak_value)``, status
 :meth:`Meter.run` is the one door between them: it calls the run from the
 meter's counters and folds the tuple back, raising the same trip as
 ``spend`` would.
-:func:`pow_counted` is the one counted exponentiation; the fold forms
+:func:`pow_counted` is the one counted exponentiation, one builtin power
+charged the multiplies square-and-multiply would take; the fold forms
 reach it through ``Meter.run``, the Conway machine calls it directly.  A
 power trips before it is computed, and exactly when it would reach the
 digit cap (:func:`pow_reaches_cap`).
@@ -488,16 +489,21 @@ class Meter:
 
 
 def pow_counted(base, exponent, max_steps, max_digits, steps, peak):
-    """``base ** exponent`` by square-and-multiply, one step per multiply.
+    """``base ** exponent``, charged as square-and-multiply: one step for
+    each of its ``bit_length - 1`` squares and ``bit_count`` products (the
+    binary method, Knuth, TAOCP vol. 2, §4.6.3, Algorithm A).
 
     Counts from ``steps`` and ``peak`` (a raw value, not digits) and returns
     ``(status, value, steps, peak)``; a step trip reports ``max_steps``.
     Fails fast with TRIP_MAGNITUDE, before any multiply, exactly when
     ``base**exponent >= 10**max_digits`` (:func:`pow_reaches_cap`).
-    Otherwise every intermediate square and product is at most
-    ``base**exponent``, below the cap, so no magnitude check is needed
-    inside the loop.  Bases 0 and 1 never grow, so ``1**huge`` never trips.
-    Operands must be non-negative.
+    Otherwise it is one builtin power, charged at once.  For a base >= 2 no
+    multiply builds less than one before it: in exponents, the square
+    ``2**(i+1)`` exceeds the product ``exponent mod 2**(i+1)`` before it,
+    and the product of bit i + 1 adds that square.  So the peak is the
+    power, or on a step trip the last power that fit, the only one built.
+    Bases 0 and 1 never grow, so ``1**huge`` never trips.  Operands must be
+    non-negative.
     """
     if exponent == 0:
         return (OK, 1, steps, max(peak, 1))
@@ -505,26 +511,19 @@ def pow_counted(base, exponent, max_steps, max_digits, steps, peak):
         return (OK, base, steps, max(peak, base))
     if pow_reaches_cap(base, exponent, max_digits):
         return (TRIP_MAGNITUDE, 0, steps, peak)
-    result = 1
-    square = base
-    e = exponent
-    while True:
-        if e & 1:
-            steps += 1
-            if steps > max_steps:
-                return (TRIP_STEPS, 0, max_steps, peak)
-            result *= square
-            if result > peak:
-                peak = result
-        e >>= 1
-        if e == 0:
-            return (OK, result, steps, peak)
-        steps += 1
-        if steps > max_steps:
-            return (TRIP_STEPS, 0, max_steps, peak)
-        square *= square
-        if square > peak:
-            peak = square
+    cost = exponent.bit_length() - 1 + exponent.bit_count()
+    if steps + cost <= max_steps:
+        value = _times_power(1, base, exponent)
+        return (OK, value, steps + cost, max(peak, value))
+    # the powers built, in order: bit i's product, if it is set, then a square
+    built = []
+    for i in range(exponent.bit_length()):
+        if exponent >> i & 1:
+            built.append(exponent & (2 << i) - 1)
+        built.append(2 << i)
+    if steps < max_steps:
+        peak = max(peak, _times_power(1, base, built[max_steps - steps - 1]))
+    return (TRIP_STEPS, 0, max_steps, peak)
 
 
 def mul_run(val, a, count, max_steps, max_digits, steps, peak):

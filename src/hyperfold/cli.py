@@ -31,7 +31,6 @@ from .budget import (
 from .notation import BOTH, FORMS, MismatchError, ParseError, evaluate, parse
 
 EXIT_OK = 0
-EXIT_SELFTEST = 1
 EXIT_PARSE = 2
 EXIT_BUDGET = 3
 EXIT_DOMAIN = 4

@@ -7,6 +7,8 @@ additionally gives the exact number of equation applications the rewrite
 evaluator must account for, ``ack_cost`` the same count in closed form
 for m <= 3 at any n, ``knuth_cost`` the Knuth count from its recurrence,
 ``ack_prim_cost`` and ``knuth_prim_cost`` the steps the fold forms charge,
+``conway_1x2_ref_cost`` and ``conway_1x2_prim_cost`` both forms' steps on
+the chain 1 -> x -> 2, ``pow_cost`` the multiplies of a counted power,
 and ``ack_literal_machine``,
 ``knuth_literal_machine`` and ``conway_literal_machine`` are the unshortcut
 work-stack rewriters used to pin down the production machines' accounting,
@@ -229,6 +231,42 @@ def knuth_prim_cost(a: int, n: int, b: int) -> int:
     return n + cost(n, b)
 
 
+def conway_1x2_ref_cost(x: int) -> int:
+    """The steps ``conway_ref((1, x, 2))`` takes, one per rule, for x >= 1.
+
+    The chain is 1 -> x -> 2 = 1.  The general rule, p -> q -> r = p ->
+    (p -> (q - 1) -> r) -> (r - 1), fires x - 1 times, at q = x down to
+    q = 2, and leaves x - 1 continuations 1 -> _ -> 1.  Then 1 -> 1 -> 2
+    collapses past its entry 1, to 1 -> 1 in the machine, and its power
+    1**1 is one rule: 2 steps, as a power of base 1 multiplies nothing.
+    Each continuation resumes at 1 -> 1 -> 1, drops its last entry 1, and
+    takes the power 1**1: 2 steps each.  So
+
+        C(x) = (x - 1) + 2 + 2 * (x - 1) = 3x - 1.
+    """
+    return 3 * x - 1
+
+
+def conway_1x2_prim_cost(x: int) -> int:
+    """The steps ``conway_prim((1, x, 2))`` charges, for x >= 1: one per
+    chain entry in the subtract-one pass, and one per application of
+    ``aux``, entry into a carrier, application of ``layer`` or of
+    ``flip_base``, entry into a folded function, and call of ``cpow``.
+
+    The front end reduces the reversed chain 2, x, 1 to q = 1, p = x - 1
+    and the tail (0,): 3 steps.  ``foldr aux cpow (0,)`` applies ``aux``
+    once: 1 step.  The carrier is entered at (1, x - 1): 1 step, and its
+    ``foldn layer flip_base 1`` applies ``layer`` once: 1 step.  The
+    folded function is entered at x - 1: 1 step.  It starts from
+    ``cpow(0, 0)`` = 1: 1 step, as a power of base 1 multiplies nothing.
+    Each of its x - 1 applications is ``flip_base`` (1 step) calling
+    ``cpow(v - 1, 0)`` = 1 (1 step).  So
+
+        K(x) = 3 + 1 + 1 + 1 + 1 + 1 + 2 * (x - 1) = 2x + 6.
+    """
+    return 2 * x + 6
+
+
 def first_power_reaching(val, a, mag_limit):
     """The least j >= 1 with ``val * a**j >= mag_limit``, and that product,
     for a >= 2 and 1 <= val < mag_limit.
@@ -351,6 +389,20 @@ def _literal_pow(base, exponent, max_steps, mag_limit, steps, peak):
         square *= square
         if square > peak:
             peak = square
+
+
+def pow_cost(exponent: int) -> int:
+    """The multiplies ``_literal_pow`` charges for a power it builds, for
+    exponent >= 1.
+
+    Its loop visits the exponent's bits from the lowest.  A set bit costs
+    one product, ``result *= square``: ``exponent.bit_count()`` of them.
+    Every shift that leaves the exponent nonzero costs one square, ``square
+    *= square``, and the loop shifts ``exponent.bit_length()`` times, the
+    last to zero: ``bit_length - 1`` squares.  This is the binary method's
+    count, λ(e) + ν(e) (Knuth, TAOCP vol. 2, §4.6.3).
+    """
+    return exponent.bit_length() - 1 + exponent.bit_count()
 
 
 def conway_literal_machine(entries, max_steps, mag_limit, steps0=0):

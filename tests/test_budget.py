@@ -266,12 +266,12 @@ def test_stats_combined():
 
 @settings(max_examples=120)
 @given(st.integers(2, 50), st.integers(0, 60))
-def test_checked_pow_matches_builtin(base, exponent):
+def test_pow_counted_matches_builtin(base, exponent):
     meter = Meter(Budget(max_steps=10**6, max_digits=10**4))
     assert meter.run(pow_counted, base, exponent) == base**exponent
 
 
-def test_checked_pow_step_trip_mid_loop():
+def test_pow_counted_step_trip_mid_power():
     # 3**27 by square-and-multiply is 8 multiplies; with 2 steps already
     # spent and a budget of 6, the 5th multiply (squaring 81) trips, after
     # result 27 and square 81 were produced
@@ -283,7 +283,7 @@ def test_checked_pow_step_trip_mid_loop():
     assert (meter.steps, meter.peak) == (6, 81)
 
 
-def test_checked_pow_trivial_bases():
+def test_pow_counted_trivial_bases():
     # bases that never grow: no false trip however large the exponent, no
     # multiplication, and the value produced counts in the peak
     for base, exponent, value in [(1, 10**9, 1), (0, 10**9, 0), (7, 0, 1), (0, 0, 1)]:
@@ -292,19 +292,46 @@ def test_checked_pow_trivial_bases():
         assert (meter.steps, meter.peak) == (0, value)
 
 
-def test_checked_pow_fails_fast_before_allocating():
+def test_pow_counted_fails_fast_before_allocating():
     meter = Meter(Budget(max_steps=10**6, max_digits=50))
     with pytest.raises(MagnitudeExceeded):
         meter.run(pow_counted, 10, 10**12)
     assert meter.steps == 0  # tripped before the first multiply
 
 
-def test_checked_pow_counts_multiplies():
+def test_pow_counted_counts_multiplies():
     meter = Meter(Budget(max_steps=10**6, max_digits=100))
     meter.run(pow_counted, 3, 27)
-    # square-and-multiply on a 5-bit exponent: a handful of multiplies,
-    # never the 26 of naive repeated multiplication
-    assert 0 < meter.steps <= 10
+    # 27 = 0b11011: four squares and four products, never the 26 of naive
+    # repeated multiplication
+    assert meter.steps == _oracles.pow_cost(27) == 8
+
+
+def test_pow_cost_counts_the_literal_loop():
+    for exponent in range(1, 4097):
+        _, value, steps, _ = _oracles._literal_pow(2, exponent, 10**4, 1 << 5000, 0, 0)
+        assert (value, steps) == (2**exponent, _oracles.pow_cost(exponent)), exponent
+
+
+POW_GRID_BASES = (*range(2, 13), 2**61, 3**40, 10**20 + 7)
+POW_GRID_EXPONENTS = (*range(1, 130), 255, 256, 1023, 4097)
+POW_GRID_DIGITS = (5, 50, 500, 2000)
+
+
+def test_pow_counted_matches_the_literal_loop():
+    # at every step budget from the start to one past the cost, from two
+    # starts: the last multiply to fit sets the peak, squares and products
+    # in the loop's order, and a power past the cap fails fast
+    for base, exponent, max_digits in itertools.product(
+        POW_GRID_BASES, POW_GRID_EXPONENTS, POW_GRID_DIGITS
+    ):
+        mag = 10**max_digits
+        for steps, peak in ((0, 0), (3, 1000)):
+            for max_steps in range(steps, steps + _oracles.pow_cost(exponent) + 2):
+                args = (base, exponent, max_steps)
+                assert pow_counted(*args, max_digits, steps, peak) == (
+                    _oracles._literal_pow(*args, mag, steps, peak)
+                ), (*args, max_digits, steps, peak)
 
 
 @settings(max_examples=300)
@@ -444,8 +471,9 @@ def test_decimal_conversion_in_pieces_under_the_smallest_cap():
         sys.set_int_max_str_digits(caller_cap)
 
 
-#: run in a child process, whose int->str cap it lifts: prints every value
-#: that renders unlike str(), then "checked <count>"
+#: run in a child process, whose int->str cap it lifts for str() and then
+#: restores: prints every value that renders unlike str(), then "checked
+#: <count>"
 _SPLIT_RENDER_PIN = """
 import random, sys
 from hyperfold.budget import (
@@ -474,8 +502,16 @@ for value, text in reversed(list(zip(values, texts))):  # other sizes cached
     if _split_to_decimal(value) != text:
         print("reversed", value.bit_length())
 # str() of 10**6 digits takes about 11 s; this value is built from its text
-# by the power-of-ten parser instead, which is pinned against int()
+# by the power-of-ten parser instead, which is pinned against int().  Under
+# the default cap int() refuses the text, so the parser splits it, rather
+# than hand it whole to int(), which is quadratic
 text = str(rng.randrange(1, 10)) + "".join(rng.choices("0123456789", k=10**6 - 1))
+sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+try:
+    int(text)
+    print("int() took 10**6 digits")
+except ValueError:
+    pass
 if int_to_decimal(decimal_to_int(text)) != text:
     print("10**6 digits")
 print("checked", checked + 1)

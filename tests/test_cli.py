@@ -457,6 +457,44 @@ def test_a_power_past_the_digit_cap_trips_before_its_first_multiply(text):
     )
 
 
+@pytest.mark.parametrize(
+    "form, max_steps, peak_digits",
+    [
+        ("reference", 6, 4),
+        ("reference", 7, 6),
+        ("reference", 8, 8),
+        ("reference", 9, None),
+        ("primitive", 8, 4),
+        ("primitive", 9, 6),
+        ("primitive", 10, 8),
+        ("primitive", 11, None),
+    ],
+)
+def test_a_step_trip_inside_a_power_reports_the_last_multiply(
+    form, max_steps, peak_digits
+):
+    # 3->27 is 3**27, 27 = 0b11011: its 8 multiplies build 3, 9, 27, 81,
+    # 6561, 177147, 3**16 and 3**27, of 1, 1, 2, 2, 4, 6, 8 and 13 digits,
+    # after one rule (reference) or three steps of the fold form (primitive)
+    argv = ["--form", form, "--max-steps", str(max_steps), "eval", "3->27"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    if peak_digits is None:
+        assert (code, out.getvalue(), err.getvalue()) == (
+            cli.EXIT_OK,
+            f"7625597484987\nsteps={max_steps} peak_digits=13\n",
+            "",
+        )
+    else:
+        assert (code, out.getvalue(), err.getvalue()) == (
+            cli.EXIT_BUDGET,
+            "",
+            f"budget: step budget exhausted (max_steps={max_steps})\n"
+            f"steps={max_steps} peak_digits={peak_digits}\n",
+        )
+
+
 def test_rendering_out_of_memory_is_a_construction_limit(monkeypatch):
     _, stats = evaluate(parse("2^^4"), "both", Budget())
     monkeypatch.setattr(cli, "int_to_decimal", _out_of_memory)

@@ -703,6 +703,28 @@ def test_conway_trip_respects_small_step_budget():
     assert exc_info.value.stats.steps_used <= 1000
 
 
+@pytest.mark.parametrize(
+    "run, cost",
+    [
+        (conway_ref, _oracles.conway_1x2_ref_cost),
+        (conway_prim, _oracles.conway_1x2_prim_cost),
+    ],
+    ids=["ref", "prim"],
+)
+def test_conway_1x2_costs_exactly_the_formula(run, cost):
+    # 1->x->2 = 1 comes at exactly C steps, and a budget of C - 1 trips
+    # there, up to x where the literal machine is slow to go
+    for x in (*range(1, 41), 10**5):
+        c = cost(x)
+        assert run((1, x, 2), Budget(max_steps=c)) == (
+            1,
+            EvalStats(steps_used=c, peak_digits=len(str(x))),
+        )
+        with pytest.raises(BudgetExceeded) as trip:
+            run((1, x, 2), Budget(max_steps=c - 1))
+        assert trip.value.stats.steps_used == c - 1, x
+
+
 # --- cross-cutting budget behavior ----------------------------------------
 
 
