@@ -47,12 +47,13 @@ reference machine's level-0 runs call it.
 
 :func:`int_to_decimal` and :func:`decimal_to_int` own integer text and never
 read the interpreter's int<->str cap; messages and reprs show ints through
-:func:`value_text`, so none fails past the cap.  One size rule decides how
-a value renders: ``str()`` up to :data:`_LEAF_BITS` bits, which no cap
-refuses, and past it a binary split whose ``Decimal`` powers of two come
-from ``decimal``'s exact ``power`` and one cache bounded in bytes, as the
-powers of ten do: the split depends on the bit length alone, so renders of
-a recurring size, such as a session's repeated ``2^^5``, build no power.
+:func:`value_text`, so none fails past the cap.  One size rule each way
+picks the route: ``str()`` up to :data:`_LEAF_BITS` bits and ``int()`` up to
+:data:`_PARSE_DIGITS` digits, which no cap refuses, and past them a split.
+A render splits in bits, with ``Decimal`` powers of two from ``decimal``'s
+exact ``power`` and one cache bounded in bytes, as the powers of ten a parse
+splits at are: the split depends on the size alone, so renders of a
+recurring size, such as a session's repeated ``2^^5``, build no power.
 
 :class:`Record` is the frozen value class of :class:`Budget`,
 :class:`EvalStats`, the syntax nodes and the CLI's configuration.
@@ -400,14 +401,11 @@ def _decimal_two_to(bits: int):
 
 
 def decimal_to_int(text: str) -> int:
-    """Parse a decimal digit run under any int<->str cap: ``int(text)``
-    unless the cap refuses it, else split by powers of ten down to pieces
-    of at most :data:`_PARSE_DIGITS` digits."""
-    try:
+    """Parse a decimal digit run under any int<->str cap, by its length:
+    ``int(text)`` up to :data:`_PARSE_DIGITS` digits, which no cap refuses,
+    else split by powers of ten into pieces of at most that many digits."""
+    if len(text) <= _PARSE_DIGITS:
         return int(text)
-    except ValueError:  # past the str->int cap, refused before converting
-        if len(text) <= _PARSE_DIGITS:  # or not a digit run
-            raise
     width = _PARSE_DIGITS
     while 2 * width < len(text):
         width *= 2

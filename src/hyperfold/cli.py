@@ -26,7 +26,9 @@ from .budget import (
     HyperError,
     MagnitudeExceeded,
     Record,
+    decimal_to_int,
     int_to_decimal,
+    value_text,
 )
 from .notation import BOTH, FORMS, MismatchError, ParseError, evaluate, parse
 
@@ -66,16 +68,15 @@ class Config(Record):
 
 
 def _stats_line(stats: EvalStats) -> str:
-    return f"steps={stats.steps_used} peak_digits={stats.peak_digits}"
+    steps, peak = value_text(stats.steps_used), value_text(stats.peak_digits)
+    return f"steps={steps} peak_digits={peak}"
 
 
 def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid positive integer value: {text!r}"
-        ) from None
+    # a flag reads as the lexer reads a literal: a decimal digit run
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"invalid positive integer value: {text!r}")
+    value = decimal_to_int(text)
     if value < 1:
         raise argparse.ArgumentTypeError("must be >= 1")
     return value

@@ -8,7 +8,8 @@ evaluator must account for, ``ack_cost`` the same count in closed form
 for m <= 3 at any n, ``knuth_cost`` the Knuth count from its recurrence,
 ``ack_prim_cost`` and ``knuth_prim_cost`` the steps the fold forms charge,
 ``conway_1x2_ref_cost`` and ``conway_1x2_prim_cost`` both forms' steps on
-the chain 1 -> x -> 2, ``pow_cost`` the multiplies of a counted power,
+the chain 1 -> x -> 2, ``conway_ref_cost`` and ``conway_prim_cost`` on any
+chain of three entries, ``pow_cost`` the multiplies of a counted power,
 and ``ack_literal_machine``,
 ``knuth_literal_machine`` and ``conway_literal_machine`` are the unshortcut
 work-stack rewriters used to pin down the production machines' accounting,
@@ -265,6 +266,91 @@ def conway_1x2_prim_cost(x: int) -> int:
         K(x) = 3 + 1 + 1 + 1 + 1 + 1 + 2 * (x - 1) = 2x + 6.
     """
     return 2 * x + 6
+
+
+def _power_cost(base: int, exponent: int) -> int:
+    """The multiplies a counted power ``base**exponent`` charges, exponent
+    >= 1: none for a base that never grows, else :func:`pow_cost`."""
+    return pow_cost(exponent) if base >= 2 else 0
+
+
+def conway_ref_cost(chain) -> int:
+    """The steps ``conway_ref(chain)`` takes, one per rule, for a chain
+    p -> q -> r of entries >= 1.
+
+    Write R(p, q, r) for the cost of the machine at p -> q -> r, and P(e)
+    for the multiplies of the power p**e (:func:`_power_cost`).
+
+    * Base power.  At a two-entry chain p -> e the machine takes one rule
+      and P(e) multiplies.
+    * The two collapses.  p -> q -> 1 drops its last entry, and p -> 1 ->
+      r collapses past its 1 to p -> 1: one rule, then the base power
+      p**q, so R(p, q, r) = 2 + P(q) when q = 1 or r = 1.
+    * The general rule.  p -> q -> r = p -> (p -> (q - 1) -> r) -> (r - 1)
+      fires q - 1 times, at q down to 2, and leaves q - 1 continuations
+      p -> _ -> (r - 1).  Then p -> 1 -> r collapses to p at 2 + P(1).
+      The i-th continuation resumes at p -> v_i -> (r - 1), where v_1 = p
+      and v_(i+1) is its value, p -> (i + 1) -> r.  So, for q, r >= 2,
+
+          R(p, q, r) = (q - 1) + 2 + P(1) + sum(R(p, v_i, r - 1), i < q).
+
+    ``1 -> x -> 2`` gives ``conway_1x2_ref_cost``: (x - 1) + 2 + 2(x - 1),
+    and ``2 -> 2 -> r`` gives R = 4 + R(2, 2, r - 1) from R(2, 2, 1) = 4:
+    4r.  The recurrence carries the values, so it suits only chains whose
+    values are small enough to build.
+    """
+    p, q, r = chain
+
+    def run(q: int, r: int) -> tuple[int, int]:  # (steps, value)
+        if q == 1 or r == 1:
+            return 2 + _power_cost(p, q), p**q
+        steps, value = q + 1 + _power_cost(p, 1), p
+        for _ in range(q - 1):
+            cost, value = run(value, r - 1)
+            steps += cost
+        return steps, value
+
+    return run(q, r)[0]
+
+
+def conway_prim_cost(chain) -> int:
+    """The steps ``conway_prim(chain)`` charges, for a chain p -> q -> r of
+    entries >= 1: one per chain entry in the subtract-one pass, and one per
+    application of ``aux``, entry into a carrier, application of ``layer``
+    or of ``flip_base``, entry into a folded function, and call of
+    ``cpow``, whose power p**e adds its multiplies P(e)
+    (:func:`_power_cost`).
+
+    The front end reduces the reversed chain r, q, p to q' = r - 1, p' =
+    q - 1 and the tail (p - 1,): 3 steps.  ``foldr aux cpow`` applies
+    ``aux`` once, the carrier is entered at (q', p'), and its ``foldn layer
+    flip_base q'`` applies ``layer`` q' times: 2 + q' steps.  Write F_k for
+    the level-k function and K(k, y) for the cost of entering it at y.
+    Level 0 is ``flip_base``, which calls ``cpow(y, p - 1)`` = p**(y + 1):
+    K(0, y) = 2 + P(y + 1).  A level-k >= 1 function is entered once and
+    starts from ``cpow(0, p - 1)`` = p at 1 + P(1); it then applies
+    ``F_(k-1) . subtract 1`` y times, the i-th taking x_i to F_(k-1)(x_i -
+    1), where x_0 = p and F_k(y) = p -> (y + 1) -> (k + 1).  So
+
+        K(k, y) = 2 + P(1) + sum(K(k - 1, x_i - 1), i < y),
+
+    and the steps are 3 + 2 + q' + K(q', p').  ``1 -> x -> 2`` gives
+    ``conway_1x2_prim_cost``: 6 + 2 + 2(x - 1), and ``2 -> 2 -> r`` gives
+    K(r - 1, 1) = 3 + K(r - 2, 1) from K(0, 1) = 2 + P(2) = 4, so 5 + (r -
+    1) + 3(r - 1) + 4 = 4r + 5.
+    """
+    p, q, r = chain
+
+    def enter(k: int, y: int) -> tuple[int, int]:  # (steps, value)
+        if k == 0:
+            return 2 + _power_cost(p, y + 1), p ** (y + 1)
+        steps, value = 2 + _power_cost(p, 1), p
+        for _ in range(y):
+            cost, value = enter(k - 1, value - 1)
+            steps += cost
+        return steps, value
+
+    return 3 + 2 + (r - 1) + enter(r - 1, q - 1)[0]
 
 
 def first_power_reaching(val, a, mag_limit):

@@ -24,6 +24,7 @@ def _interpreter_state():
         sys.getrecursionlimit(),
         sys.get_int_max_str_digits(),
         sys.getswitchinterval(),
+        sys.gettrace(),
         context.prec,
         context.Emax,
         context.Emin,
@@ -35,7 +36,8 @@ def _interpreter_state():
 @pytest.fixture(autouse=True)
 def _interpreter_state_unchanged():
     # library calls share the interpreter with their caller, so no test may
-    # leave a process-global limit or the thread's decimal context changed
+    # leave a process-global limit, a trace function or the thread's decimal
+    # context changed
     before = _interpreter_state()
     yield
     assert _interpreter_state() == before

@@ -471,6 +471,35 @@ def test_decimal_conversion_in_pieces_under_the_smallest_cap():
         sys.set_int_max_str_digits(caller_cap)
 
 
+def test_parse_route_follows_the_length_not_the_cap():
+    # decimal_to_int takes int() or the power-of-ten split by the text's
+    # length alone, as int_to_decimal does by bit length: under the least
+    # cap, the default one and none, each text gives the same value and
+    # builds the same powers of ten
+    rng = random.Random(22)
+    sizes = (640, 641, 4300, 4301, 10**4, 10**5)
+    texts = [
+        str(rng.randrange(1, 10)) + "".join(rng.choices("0123456789", k=n - 1))
+        for n in sizes
+    ]
+    caller_cap = sys.get_int_max_str_digits()
+    built = {}
+    try:
+        sys.set_int_max_str_digits(0)
+        values = [int(text) for text in texts]
+        for cap in (640, 4300, 0):
+            sys.set_int_max_str_digits(cap)
+            built[cap] = []
+            for text, value in zip(texts, values):
+                budget._pow10.cache_clear()
+                assert decimal_to_int(text) == value, (cap, len(text))
+                built[cap].append(budget._pow10.cache_info())
+    finally:
+        sys.set_int_max_str_digits(caller_cap)
+    assert built[640] == built[4300] == built[0]
+    assert [info.misses > 0 for info in built[0]] == [False] + [True] * 5
+
+
 #: run in a child process, whose int->str cap it lifts for str() and then
 #: restores: prints every value that renders unlike str(), then "checked
 #: <count>"
@@ -502,9 +531,9 @@ for value, text in reversed(list(zip(values, texts))):  # other sizes cached
     if _split_to_decimal(value) != text:
         print("reversed", value.bit_length())
 # str() of 10**6 digits takes about 11 s; this value is built from its text
-# by the power-of-ten parser instead, which is pinned against int().  Under
-# the default cap int() refuses the text, so the parser splits it, rather
-# than hand it whole to int(), which is quadratic
+# by the power-of-ten parser instead, which is pinned against int().  The
+# parser splits any text past _PARSE_DIGITS digits, whatever the cap; under
+# the default cap int() refuses this one, so no whole-text int() stands in
 text = str(rng.randrange(1, 10)) + "".join(rng.choices("0123456789", k=10**6 - 1))
 sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
 try:
@@ -572,7 +601,7 @@ def test_renders_agree_across_threads():
 #: ``sys.get_int_max_str_digits`` that raises: prints every message or repr
 #: that does not hold its value's exact digits, then "checked <count>"
 _SINGLE_OWNER_PIN = """
-import sys
+import contextlib, io, sys
 sys.set_int_max_str_digits(int(sys.argv[1]))
 
 
@@ -582,6 +611,7 @@ def refuse():
 
 sys.get_int_max_str_digits = refuse
 
+from hyperfold import cli
 from hyperfold.budget import Budget, EvalStats
 from hyperfold.folds import church_from_natural, foldn
 from hyperfold.hyperops import ack_ref, conway_ref
@@ -629,6 +659,20 @@ check(repr(Budget(max_steps=10**5000)),
       f"Budget(max_steps={huge}, max_digits=100000)", "Budget repr")
 check(repr(EvalStats(10**5000, 5001)),
       f"EvalStats(steps_used={huge}, peak_digits=5001)", "EvalStats repr")
+
+# the CLI reads a flag and writes its stats line through the same owners
+big = "1" + "0" * 4400  # 10**4400
+out, err = io.StringIO(), io.StringIO()
+with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    try:
+        code = cli.main(["--max-steps", big, "eval", "2"])
+    except SystemExit as exc:
+        code = exc.code
+check((code, out.getvalue()), (0, "2\\nsteps=0 peak_digits=1\\n"), "--max-steps flag")
+with contextlib.redirect_stderr(err):
+    code = cli.run_eval(f"ack(3,{big})", cli.Config("reference", 10**5000))
+check((code, err.getvalue().splitlines()[-1]),
+      (3, f"steps={huge} peak_digits=4401"), "stats line")
 print("checked", checked)
 """
 
@@ -645,7 +689,7 @@ def test_integer_text_never_reads_the_int_str_cap(cap):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "checked 12\n"
+    assert proc.stdout == "checked 14\n"
 
 
 def test_decimal_render_and_parse_large():

@@ -210,6 +210,27 @@ def test_flag_validation():
         assert "_positive_int" not in proc.stderr
 
 
+@pytest.mark.parametrize("flag", ["--max-steps", "--max-digits"])
+def test_a_flag_reads_as_a_decimal_digit_run(flag):
+    # as the lexer reads a literal: no sign, space or separator, zero is
+    # below the least budget, and a run longer than the int<->str cap
+    # (4,300 digits by default) is a flag like any other; argparse exits 2
+    def run(text):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main([flag, text, "eval", "2"])
+            except SystemExit as exc:
+                code = exc.code
+        return code, out.getvalue(), err.getvalue().splitlines()[-1:]
+
+    for text in ("+5", " 5", "1_000", "-5", ""):
+        message = f"hyperfold: error: argument {flag}: invalid positive integer value: "
+        assert run(text) == (2, "", [message + repr(text)])
+    assert run("0") == (2, "", [f"hyperfold: error: argument {flag}: must be >= 1"])
+    assert run("1" + "0" * 4400) == (cli.EXIT_OK, "2\nsteps=0 peak_digits=1\n", [])
+
+
 def test_a_huge_digit_cap_costs_nothing_up_front():
     # 10**10000000 is never built: 12.3 s when every meter built its cap
     start = time.perf_counter()

@@ -725,6 +725,78 @@ def test_conway_1x2_costs_exactly_the_formula(run, cost):
         assert trip.value.stats.steps_used == c - 1, x
 
 
+def test_conway_length_3_costs_exactly_the_recurrences():
+    # every chain of three entries 1..5 that both forms finish at the
+    # default budget: the value comes at exactly C steps, and a budget of
+    # C - 1 trips there (the fold form first, whose power trips at once
+    # where the rewrite form would run to its step budget)
+    cases = 0
+    for chain in itertools.product(range(1, 6), repeat=3):
+        try:
+            value = conway_prim(chain, B)[0]
+            conway_ref(chain, B)
+        except HyperError:
+            continue
+        for run, cost in (
+            (conway_ref, _oracles.conway_ref_cost),
+            (conway_prim, _oracles.conway_prim_cost),
+        ):
+            c = cost(chain)
+            got, stats = run(chain, Budget(max_steps=c))
+            assert (got, stats.steps_used) == (value, c), (run, chain)
+            with pytest.raises(BudgetExceeded) as trip:
+                run(chain, Budget(max_steps=c - 1))
+            assert trip.value.stats.steps_used == c - 1, (run, chain)
+        cases += 1
+    assert cases == 76
+
+
+@pytest.mark.parametrize(
+    "run, cost, constant, far",
+    [
+        (conway_ref, _oracles.conway_ref_cost, 0, 10**5),
+        (conway_prim, _oracles.conway_prim_cost, 5, 1201),
+    ],
+    ids=["ref", "prim"],
+)
+def test_conway_2_2_r_costs_4r_and_4r_plus_5(run, cost, constant, far):
+    # 2->2->r = 4 at exactly C steps, and a budget of C - 1 trips there, up
+    # to r where the recurrence is slow to go (the fold form nests r - 1
+    # closures, at most 1,200)
+    for r in (*range(1, 41), far):
+        c = 4 * r + constant
+        if r <= 40:
+            assert cost((2, 2, r)) == c, r
+        assert run((2, 2, r), Budget(max_steps=c)) == (
+            4,
+            EvalStats(steps_used=c, peak_digits=len(str(max(r, 4)))),
+        )
+        with pytest.raises(BudgetExceeded) as trip:
+            run((2, 2, r), Budget(max_steps=c - 1))
+        assert trip.value.stats.steps_used == c - 1, r
+    if run is conway_prim:
+        with pytest.raises(ConstructionLimit) as limit:
+            run((2, 2, far + 1), B)
+        assert limit.value.stats.steps_used == 5
+
+
+def test_ack_magnitude_trip_point_follows_the_value_formula():
+    # A(3, n) = 2^(n+3) - 3, and A(4, 1) = A(3, 13), is the largest value
+    # held, so a cap of its digit count finishes and one digit lower trips
+    far = 10**40  # steps; C(3, 60) has 38 digits
+    cases = [(ack_ref, 3, n, far) for n in range(61)]
+    cases += [(ack_prim, 3, n, B.max_steps) for n in range(9)]
+    cases += [(ack_ref, 4, 1, far)]
+    for run, m, n, max_steps in cases:
+        value = 2 ** (n + 3) - 3 if m == 3 else 2**16 - 3
+        digits = len(str(value))
+        got, stats = run(m, n, Budget(max_steps, digits))
+        assert (got, stats.peak_digits) == (value, digits), (run, m, n)
+        if digits > 1:
+            with pytest.raises(MagnitudeExceeded):
+                run(m, n, Budget(max_steps, digits - 1))
+
+
 # --- cross-cutting budget behavior ----------------------------------------
 
 

@@ -266,6 +266,91 @@ def test_memory_follows_the_work_not_the_step_budget(expr):
         assert large - small <= fixed[form] + values * value_bytes, form
 
 
+class _LinesPastBound(Exception):
+    """Raised from the tracer once a run traces more line events than its
+    bound, so that a run whose work follows the step budget stops there."""
+
+
+def _line_events(expr, form, max_steps, bound=None):
+    """The "line" events traced in ``hyperfold``'s own frames while ``expr``
+    runs under ``max_steps`` steps, and whether it tripped a limit.  Past
+    ``bound`` events the tracer raises :class:`_LinesPastBound`; the
+    previous trace function is back in place either way."""
+    events = 0
+
+    def line(frame, event, arg):
+        nonlocal events
+        if event == "line":
+            events += 1
+            if bound is not None and events > bound:
+                raise _LinesPastBound(f"{form} {render(expr)}: over {bound} lines")
+        return line
+
+    def call(frame, event, arg):
+        if frame.f_globals.get("__name__", "").startswith("hyperfold"):
+            return line
+        return None
+
+    previous = sys.gettrace()
+    sys.settrace(call)
+    try:
+        evaluate(expr, form, Budget(max_steps=max_steps))
+        tripped = False
+    except HyperError:
+        tripped = True
+    finally:
+        sys.settrace(previous)
+    return events, tripped
+
+
+#: the line events a run may add from 10**3 to 10**5 steps: six times the
+#: most a flat tree adds (170, reference knuth(2,3,4)), and under 1/250 of
+#: the least a path of one pass per step adds (258,533, reference 2->3->4)
+_LINE_EVENT_BOUND = 1000
+
+
+def _grows(item):
+    reason = f"one pass or call per step until ROADMAP item {item} lands"
+    return pytest.mark.xfail(raises=_LinesPastBound, reason=reason, strict=True)
+
+
+@pytest.mark.parametrize(
+    "form, text",
+    [
+        ("reference", "ack(3,99999)"),
+        ("reference", "ack(4,1)"),
+        ("reference", "knuth(2,3,4)"),
+        ("reference", "3^^^3"),
+        ("primitive", "3->3->3"),
+        ("primitive", "knuth(2,3,4)"),
+        ("primitive", "3->4->2->2"),
+        pytest.param("reference", "3->3->3", marks=_grows(2)),
+        pytest.param("reference", "1->333332->2", marks=_grows(2)),
+        pytest.param("reference", "2->3->4", marks=_grows(2)),
+        pytest.param("reference", "3->4->2->2", marks=_grows(2)),
+        pytest.param("reference", "ack(2,3->3->3)", marks=_grows(2)),
+        pytest.param("reference", "knuth(0,200,900)", marks=_grows(4)),
+        pytest.param("primitive", "ack(4,1)", marks=_grows(3)),
+        pytest.param("primitive", "ack(3,99999)", marks=_grows(3)),
+        pytest.param("primitive", "knuth(1,8,100000)", marks=_grows(4)),
+        pytest.param("primitive", "knuth(0,8,100000)", marks=_grows(4)),
+        pytest.param("primitive", "1->499997->2", marks=_grows(4)),
+    ],
+)
+def test_work_follows_the_value_not_the_step_budget(form, text):
+    """The time twin of the memory law above: a tree that trips a limit at
+    10**3 and at 10**5 steps runs at most a fixed number more Python lines
+    at 10**5.  Counted lines are deterministic where wall time is not, and
+    a path that takes one pass or call per step adds hundreds of thousands;
+    each such path is an expected failure that names the item that mends
+    it, and that item must remove the mark."""
+    expr = parse(text)
+    small, tripped = _line_events(expr, form, 10**3)
+    assert tripped
+    _, tripped = _line_events(expr, form, 10**5, small + _LINE_EVENT_BOUND)
+    assert tripped
+
+
 def test_evaluate_rejects_non_positive_chain_items():
     with pytest.raises(DomainError):
         evaluate(parse("conway(0)"), "both", B)
