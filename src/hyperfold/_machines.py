@@ -13,10 +13,9 @@ runs go in blocks (:func:`_push_run`), so no machine's memory follows the
 step budget, not even at a level or entry too large to reach.  The Conway
 machine still takes one loop pass per rule, with its counters in locals
 and no attribute lookups or method calls in the hot path.  The digit cap
-is ``max_digits`` itself: a value's bit length against
-:func:`~hyperfold.budget.safe_bits`, then
-:func:`~hyperfold.budget.reaches_cap`, so no machine builds
-``10**max_digits`` unless a value comes within a few bits of it.
+is ``max_digits`` itself, decided by :func:`~hyperfold.budget.reaches_cap`,
+so no machine builds ``10**max_digits`` unless a value comes within a few
+bits of it.
 """
 
 from __future__ import annotations
@@ -123,7 +122,10 @@ def _level1_run(n, count, max_steps, max_digits, steps, peak):
     :func:`_tower` on :func:`~hyperfold.budget.add_run`, whose rules trip.
     """
     headroom = max(max_steps - steps, 0)  # a caller's steps may be past it
-    d = min(count, (isqrt(n * n + 2 * headroom) - n) // 2)
+    if 2 * count * (n + count) <= headroom:
+        d = count
+    else:
+        d = (isqrt(n * n + 2 * headroom) - n) // 2
     if reaches_cap(n + 2 * d, max_digits):
         d = (_pow10(max_digits) - 1 - n) // 2
     steps += 2 * d * (n + d)

@@ -418,17 +418,15 @@ class Meter:
 
     The closure-based fold evaluators charge through this object directly;
     the counted runs and rewrite machines keep local counters and reach it
-    through :meth:`run`.  A meter builds nothing the size of its digit cap:
-    a new peak costs one comparison of its bit length with
-    :func:`safe_bits`, and only a value past that asks :func:`reaches_cap`.
+    through :meth:`run`.  Like every counted run, it checks a new peak with
+    :func:`reaches_cap` alone, so it builds nothing the size of its cap.
     """
 
-    __slots__ = ("max_steps", "max_digits", "safe_bits", "steps", "peak")
+    __slots__ = ("max_steps", "max_digits", "steps", "peak")
 
     def __init__(self, budget: Budget):
         self.max_steps = budget.max_steps
         self.max_digits = budget.max_digits
-        self.safe_bits = safe_bits(budget.max_digits)
         self.steps = 0
         self.peak = 0
 
@@ -445,9 +443,7 @@ class Meter:
         self.steps = steps
         if value > self.peak:
             self.peak = value
-            if value.bit_length() > self.safe_bits and reaches_cap(
-                value, self.max_digits
-            ):
+            if reaches_cap(value, self.max_digits):
                 raise self._magnitude_trip()
         return value
 

@@ -6,7 +6,9 @@ The two folds are the canonical structural-recursion operators
     foldr :: (a -> b -> b) -> b -> [a] -> b
 
 realized as bounded loops: ``foldn`` must digest indices in the millions, so
-call-stack recursion of depth ``n`` is out of the question.
+call-stack recursion of depth ``n`` is out of the question.  ``foldn`` owns
+the fold fusion law (Hutton, "A tutorial on the universality and
+expressiveness of fold", JFP 1999): it runs a step's own closed form.
 
 A Church numeral is a recursion-free stand-in for a natural number: a value
 that *is* its own iterator.  ``church_fold g e x`` is just ``x`` applied to
@@ -19,6 +21,7 @@ their step functions (see :mod:`hyperfold.hyperops`).
 
 from __future__ import annotations
 
+from operator import index
 from typing import Callable, Sequence, TypeVar
 
 from .budget import ConstructionLimit, value_text
@@ -27,13 +30,14 @@ A = TypeVar("A")
 B = TypeVar("B")
 
 #: Numerals deeper than this are refused by church_from_natural; the chain is
-#: heap-allocated, so the bound is memory, not correctness.  Configurable per
-#: call.
+#: heap-allocated, so the bound is memory, not correctness.
 DEFAULT_CHURCH_CAP = 10**6
 
 
 def foldn(step: Callable[[A], A], base: A, n: int) -> A:
-    """Apply ``step`` to ``base`` exactly ``n`` times.
+    """Apply ``step`` to ``base`` exactly ``n`` times, or, for a step that
+    carries ``iterate(v, c)``, its c-th iterate from v charged as its c
+    applications, return ``step.iterate(base, n)`` instead (fold fusion).
 
     foldn g e 0 == e
     foldn g e n == g (foldn g e (n - 1))   (n > 0)
@@ -44,6 +48,8 @@ def foldn(step: Callable[[A], A], base: A, n: int) -> A:
     """
     if n < 0:
         raise ValueError(f"foldn index must be non-negative, got {value_text(n)}")
+    if hasattr(step, "iterate"):
+        return step.iterate(base, index(n))
     acc = base
     for _ in range(n):
         acc = step(acc)
@@ -106,14 +112,14 @@ def church_succ(x: ChurchNat) -> ChurchNat:
     return ChurchNat(x)
 
 
-def church_from_natural(n: int, cap: int = DEFAULT_CHURCH_CAP) -> ChurchNat:
-    """Iterated ``church_succ``, refused beyond ``cap`` layers."""
+def church_from_natural(n: int) -> ChurchNat:
+    """Iterated ``church_succ``, refused past :data:`DEFAULT_CHURCH_CAP` layers."""
     if n < 0:
         raise ValueError(f"cannot encode a negative number, got {value_text(n)}")
-    if n > cap:
+    if n > DEFAULT_CHURCH_CAP:
         raise ConstructionLimit(
             f"numeral of depth {value_text(n)} exceeds the construction cap "
-            f"{value_text(cap)}"
+            f"{value_text(DEFAULT_CHURCH_CAP)}"
         )
     return foldn(church_succ, _ZERO, n)
 

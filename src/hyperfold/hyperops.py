@@ -21,10 +21,10 @@ Each function of the hierarchy is implemented twice:
   charged per application of a generator (``succ``, ``times_a``, ``cpow``)
   or transformer (``layer``, ``aux``) and per entry into a closure they
   build; ``succ`` and ``times_a`` charge theirs and note the value they
-  yield in one call, ``meter.spend(1, v)``.  Fold fusion belongs to the
-  generator: one that carries ``iterate(v, c)`` runs ``foldn gen v c`` in
-  closed form, charged as its c applications.  Only ``times_a`` has one,
-  so ``foldn (a*) 1 x = a^x`` is one run of x multiplies
+  yield in one call, ``meter.spend(1, v)``.  Fold fusion is ``foldn``'s
+  own law: a generator that carries ``iterate(v, c)`` has ``foldn gen v
+  c`` run in closed form, charged as its c applications.  Only ``times_a``
+  has one, so ``foldn (a*) 1 x = a^x`` is one run of x multiplies
   (:func:`~hyperfold.budget.mul_run`, through ``Meter.run``) with the
   steps, peak and trip point of x entries into ``times_a``.
   ``eval_conway_prim`` is the front end and hands its reduced chain to
@@ -93,23 +93,17 @@ def _tower(gen, depth, x, meter, start, step=None):
     the identity by default, maps it to the folded function.
 
     One step is charged per application of ``layer`` and per entry into a
-    function it builds.  A folded function that carries ``iterate(v, c)``,
-    its c-th iterate from v charged as its c applications (fold fusion),
-    runs that instead of c calls; ``layer`` looks it up once per
-    application, never once per step.
+    function it builds.
     """
     _ensure_depth(depth, meter)
 
     def layer(f: Callable[[int], int]) -> Callable[[int], int]:
         meter.spend()
         h = f if step is None else step(f)
-        iterate = getattr(h, "iterate", None)
 
         def g(y: int) -> int:
             meter.spend()
-            if iterate is None:
-                return foldn(h, start(f), y)
-            return iterate(start(f), y)
+            return foldn(h, start(f), y)
 
         return g
 

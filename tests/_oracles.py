@@ -9,7 +9,9 @@ for m <= 3 at any n, ``knuth_cost`` the Knuth count from its recurrence,
 ``ack_prim_cost`` and ``knuth_prim_cost`` the steps the fold forms charge,
 ``conway_1x2_ref_cost`` and ``conway_1x2_prim_cost`` both forms' steps on
 the chain 1 -> x -> 2, ``conway_ref_cost`` and ``conway_prim_cost`` on any
-chain of three entries, ``pow_cost`` the multiplies of a counted power,
+chain of three entries, ``conway_22qr_ref_cost`` and
+``conway_22qr_prim_cost`` on the chains 2 -> 2 -> q -> r, ``pow_cost`` the
+multiplies of a counted power,
 and ``ack_literal_machine``,
 ``knuth_literal_machine`` and ``conway_literal_machine`` are the unshortcut
 work-stack rewriters used to pin down the production machines' accounting,
@@ -351,6 +353,67 @@ def conway_prim_cost(chain) -> int:
         return steps, value
 
     return 3 + 2 + (r - 1) + enter(r - 1, q - 1)[0]
+
+
+def conway_22qr_ref_cost(q: int, r: int) -> int:
+    """The steps ``conway_ref((2, 2, q, r))`` takes, one per rule, for
+    q, r >= 1, counted as in :func:`conway_ref_cost`.
+
+    Every chain 2 -> 2 -> x is 2 -> 2 = 4, so every value the machine
+    builds is 4.  Write C(q, r) for the cost at 2 -> 2 -> q -> r.
+
+    * r = 1: the last entry 1 is dropped, one rule, and 2 -> 2 -> q costs
+      4q (:func:`conway_ref_cost`), so C(q, 1) = 4q + 1.
+    * r >= 2: the general rule fires q - 1 times, at q down to 2, and
+      leaves q - 1 continuations 2 -> 2 -> _ -> (r - 1).  Then 2 -> 2 -> 1
+      -> r collapses past its 1 to 2 -> 2 -> 1, which drops its 1, and the
+      power 2**2 is one rule and P(2) = 2 multiplies: 5 steps, value 4.
+      Each continuation resumes at 2 -> 2 -> 4 -> (r - 1), so
+
+          C(q, r) = (q - 1) + 5 + (q - 1) * C(4, r - 1).
+
+    C(4, r) = 8 + 3 * C(4, r - 1) from C(4, 1) = 17, so C(4, r) + 4 =
+    3 * (C(4, r - 1) + 4) = 21 * 3^(r-1), and for r >= 2
+
+        C(q, r) = q + 4 + (q - 1) * (7 * 3^(r-1) - 4)
+                = 7 * (q - 1) * 3^(r-1) - 3q + 8,
+
+    which r = 1 meets too: 7 * (q - 1) - 3q + 8 = 4q + 1.  So 2 -> 2 -> 2
+    -> r costs 7 * 3^(r-1) + 2 and 2 -> 2 -> r -> 2 costs 18r - 13.
+    """
+    return 7 * (q - 1) * 3 ** (r - 1) - 3 * q + 8
+
+
+def conway_22qr_prim_cost(q: int, r: int) -> int:
+    """The steps ``conway_prim((2, 2, q, r))`` charges, for q, r >= 1,
+    counted as in :func:`conway_prim_cost`.
+
+    The front end reduces the reversed chain r, q, 2, 2 to q' = r - 1, p' =
+    q - 1 and the tail (1, 1): 4 steps.  ``foldr aux cpow`` applies ``aux``
+    twice: the inner carrier k = ``aux 1 cpow`` is 2 -> (p + 1) -> (q + 1)
+    at (q, p), and the outer one is entered at (q', p') and applies
+    ``layer`` q' times: 2 + 1 + q' steps.  Write K(j, y) for the cost of
+    entering the outer carrier's level-j function at y.  Level 0 is
+    ``flip_base``, which calls k(y, 1) = 2 -> 2 -> (y + 1) = 4; that call
+    costs what :func:`conway_prim_cost` counts for the chain, 4(y + 1) + 5,
+    less its front end (3) and its ``aux`` (1), so K(0, y) = 1 + 4y + 5 =
+    4y + 6.  A level-j >= 1 function is entered once and starts from
+    k(0, 1) = 4 at 5 steps; it then applies F_(j-1) . subtract 1 y times,
+    each at 4 - 1 = 3, since every value is 4:
+
+        K(j, y) = 6 + y * K(j - 1, 3).
+
+    K(j, 3) + 3 = 3 * (K(j - 1, 3) + 3) from K(0, 3) = 18, so K(j, 3) =
+    7 * 3^(j+1) - 3.  The steps are 4 + 3 + q' + K(q', p') = 6 + r +
+    K(r - 1, q - 1), which for r >= 2 is
+
+        12 + r + (q - 1) * (7 * 3^(r-1) - 3)
+            = 7 * (q - 1) * 3^(r-1) - 3q + r + 15,
+
+    and r = 1 meets too: 7 + 4(q - 1) + 6 = 4q + 9.  So 2 -> 2 -> 2 -> r
+    costs 7 * 3^(r-1) + r + 9 and 2 -> 2 -> r -> 2 costs 18r - 4.
+    """
+    return 7 * (q - 1) * 3 ** (r - 1) - 3 * q + r + 15
 
 
 def first_power_reaching(val, a, mag_limit):

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hyperfold import folds
 from hyperfold.budget import ConstructionLimit
 from hyperfold.folds import (
     ChurchNat,
@@ -58,6 +59,29 @@ def test_foldn_index_is_any_int():
     with pytest.raises(ValueError):
         foldn(step, 0, -(10**30))
     assert len(calls) == 3
+
+
+def test_foldn_runs_a_steps_iterate():
+    # fold fusion: a step that carries iterate(v, c) is never applied; its
+    # index is checked as on the loop, before iterate is called
+    applied, iterated = [], []
+
+    def step(x):
+        applied.append(x)
+        return x + 1
+
+    def iterate(v, c):
+        iterated.append((v, c))
+        return v + c
+
+    step.iterate = iterate
+    assert foldn(step, 5, 7) == 12
+    assert foldn(step, 5, 0) == 5
+    with pytest.raises(ValueError):
+        foldn(step, 0, -1)
+    with pytest.raises(TypeError):
+        foldn(step, 0, 2.5)
+    assert (applied, iterated) == ([], [(5, 7), (5, 0)])
 
 
 def test_foldr_does_not_mutate_input():
@@ -128,10 +152,11 @@ def test_fold_equivalence_law(g, e, n):
     assert church_fold(g, e, church_from_natural(n)) == foldn(g, e, n)
 
 
-def test_church_construction_cap():
+def test_church_construction_cap(monkeypatch):
+    monkeypatch.setattr(folds, "DEFAULT_CHURCH_CAP", 100)
     with pytest.raises(ConstructionLimit):
-        church_from_natural(101, cap=100)
-    assert church_to_natural(church_from_natural(100, cap=100)) == 100
+        church_from_natural(101)
+    assert church_to_natural(church_from_natural(100)) == 100
 
 
 def test_church_rejects_negative():

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _oracles
+from hyperfold import _machines
 from hyperfold._machines import ack_machine, conway_machine, knuth_machine
 from hyperfold.budget import (
     Budget,
@@ -122,6 +123,24 @@ def test_ack_ref_costs_exactly_the_closed_form_at_large_n(n):
     with pytest.raises(BudgetExceeded) as trip:
         ack_ref(3, n, Budget(max_steps=cost - 1))
     assert trip.value.stats.steps_used == cost - 1
+
+
+def test_a_level1_run_solves_only_for_frames_that_do_not_all_fit(monkeypatch):
+    # a level-1 run whose frames all fit the budget is charged at once; only
+    # the one the step budget cuts short takes a square root
+    roots = 0
+    isqrt = _machines.isqrt
+
+    def counted_isqrt(x):
+        nonlocal roots
+        roots += 1
+        return isqrt(x)
+
+    monkeypatch.setattr(_machines, "isqrt", counted_isqrt)
+    with pytest.raises(BudgetExceeded) as trip:
+        ack_ref(3, 10**4400, Budget(max_steps=10**5000))
+    assert trip.value.stats.steps_used == 10**5000
+    assert roots == 1
 
 
 def test_ack_machine_budget_trips_match_literal():
@@ -778,6 +797,46 @@ def test_conway_2_2_r_costs_4r_and_4r_plus_5(run, cost, constant, far):
         with pytest.raises(ConstructionLimit) as limit:
             run((2, 2, far + 1), B)
         assert limit.value.stats.steps_used == 5
+
+
+@pytest.mark.parametrize(
+    "run, cost, tower_cost, line_cost",
+    [
+        (
+            conway_ref,
+            _oracles.conway_22qr_ref_cost,
+            lambda r: 7 * 3 ** (r - 1) + 2,
+            lambda r: 18 * r - 13,
+        ),
+        (
+            conway_prim,
+            _oracles.conway_22qr_prim_cost,
+            lambda r: 7 * 3 ** (r - 1) + r + 9,
+            lambda r: 18 * r - 4,
+        ),
+    ],
+    ids=["ref", "prim"],
+)
+def test_conway_2_2_q_r_costs_exactly_the_formula(run, cost, tower_cost, line_cost):
+    # 2->2->q->r = 4 at exactly C steps, and a budget of C - 1 trips there:
+    # every q <= 6 with r <= 5, 2->2->2->r up to r = 11 (413,345 rules),
+    # and 2->2->q->2 up to q = 39 and at q = 10^4
+    cases = list(itertools.product(range(1, 7), range(1, 6)))
+    cases += [(2, r) for r in range(6, 12)] + [(q, 2) for q in range(7, 40)]
+    for q, r in cases + [(10**4, 2)]:
+        c = cost(q, r)
+        if q == 2:
+            assert c == tower_cost(r), r
+        if r == 2:
+            assert c == line_cost(q), q
+        chain = (2, 2, q, r)
+        assert run(chain, Budget(max_steps=c)) == (
+            4,
+            EvalStats(steps_used=c, peak_digits=len(str(max(q, r, 4)))),
+        )
+        with pytest.raises(BudgetExceeded) as trip:
+            run(chain, Budget(max_steps=c - 1))
+        assert trip.value.stats.steps_used == c - 1, chain
 
 
 def test_ack_magnitude_trip_point_follows_the_value_formula():
