@@ -65,13 +65,12 @@ import functools
 import sys
 import threading
 from collections import OrderedDict, namedtuple
-from math import log, log10
+from math import log10
 
 #: log2(10) lies strictly between _LOG2_10_NUM / _LOG2_10_DEN and
 #: (_LOG2_10_NUM + 1) / _LOG2_10_DEN, which bound every digit count in bits
 _LOG2_10_NUM = 3321928094887362347
 _LOG2_10_DEN = 10**18
-_LN_10 = log(10)
 #: the relative distance from the cap within which :func:`pow_reaches_cap`
 #: builds the power rather than trust its float estimate
 _POW_MARGIN = 1e-9
@@ -571,13 +570,14 @@ def _first_reaching(val, a, max_digits, most):
     Needs a >= 2, 1 <= val < 10**max_digits and most >= 1.  Returns ``(j,
     val * a**j)``, or ``(0, val * a**most)`` when no such j exists.  A run
     whose bit lengths add up to at most :func:`safe_bits` is that value at
-    once.  Otherwise a float estimate of j is corrected by exact tests
-    (:func:`reaches_cap`), so no value much larger than ``a *
-    10**max_digits`` is ever built.
+    once.  Otherwise the float estimate ``(max_digits - log10(val)) /
+    log10(a)`` of j, the logarithm :func:`pow_reaches_cap` uses, is
+    corrected by exact tests (:func:`reaches_cap`), so no value much larger
+    than ``a * 10**max_digits`` is ever built.
     """
     if val.bit_length() + most * a.bit_length() <= safe_bits(max_digits):
         return (0, _times_power(val, a, most))
-    estimate = (max_digits * _LN_10 - log(val)) / log(a)
+    estimate = (max_digits - log10(val)) / log10(a)
     j = most if estimate >= most else max(1, int(estimate))
     v = _times_power(val, a, j)
     if reaches_cap(v, max_digits):

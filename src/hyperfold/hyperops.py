@@ -21,12 +21,13 @@ Each function of the hierarchy is implemented twice:
   charged per application of a generator (``succ``, ``times_a``, ``cpow``)
   or transformer (``layer``, ``aux``) and per entry into a closure they
   build; ``succ`` and ``times_a`` charge theirs and note the value they
-  yield in one call, ``meter.spend(1, v)``.  Fold fusion is ``foldn``'s
-  own law: a generator that carries ``iterate(v, c)`` has ``foldn gen v
-  c`` run in closed form, charged as its c applications.  Only ``times_a``
-  has one, so ``foldn (a*) 1 x = a^x`` is one run of x multiplies
-  (:func:`~hyperfold.budget.mul_run`, through ``Meter.run``) with the
-  steps, peak and trip point of x entries into ``times_a``.
+  yield in one call, ``meter.spend(1, v)``, as does a Conway chain of
+  fewer than two entries, whose value is one application.  Fold fusion is
+  ``foldn``'s own law: a generator that carries ``iterate(v, c)`` has
+  ``foldn gen v c`` run in closed form, charged as its c applications.
+  Only ``times_a`` has one, so ``foldn (a*) 1 x = a^x`` is one run of x
+  multiplies (:func:`~hyperfold.budget.mul_run`, through ``Meter.run``)
+  with the steps, peak and trip point of x entries into ``times_a``.
   ``eval_conway_prim`` is the front end and hands its reduced chain to
   ``eval_cback_prim``.
 
@@ -190,11 +191,8 @@ def eval_conway_prim(entries: Sequence[int], meter: Meter) -> int:
         meter.note(e)
     # front end: trivial lengths, then reverse, reduce every entry by one,
     # and hand (tail, q, p) to the fold-built back end
-    if len(chain) < 2:
-        meter.spend()
-        value = chain[0] if chain else 1
-        meter.note(value)
-        return value
+    if len(chain) < 2:  # one fold application yields the chain's value
+        return meter.spend(1, chain[0] if chain else 1)
     _ensure_depth(len(chain), meter)
     meter.spend(len(chain))  # the subtract-one pass
     reduced = [e - 1 for e in reversed(chain)]

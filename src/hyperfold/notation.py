@@ -292,16 +292,13 @@ class _Parser:
                     items.append(self.expr())
             self.expect("RPAREN", {"')'", "','"})
             return ConwayCall(tuple(items))
-        first = self.expr()
-        self.expect("COMMA", {"','"})
-        second = self.expr()
-        if name.text == "ack":
-            self.expect("RPAREN", {"')'"})
-            return Ack(first, second)
-        self.expect("COMMA", {"','"})
-        third = self.expr()
+        node, arity = (Ack, 2) if name.text == "ack" else (Knuth, 3)
+        args = [self.expr()]
+        for _ in range(arity - 1):
+            self.expect("COMMA", {"','"})
+            args.append(self.expr())
         self.expect("RPAREN", {"')'"})
-        return Knuth(first, second, third)
+        return node(*args)
 
 
 def parse(text: str) -> Expr:

@@ -416,6 +416,122 @@ def conway_22qr_prim_cost(q: int, r: int) -> int:
     return 7 * (q - 1) * 3 ** (r - 1) - 3 * q + r + 15
 
 
+def conway_1pqr_ref_cost(p: int, q: int, r: int) -> int:
+    """The steps ``conway_ref((1, p, q, r))`` takes, one per rule, for
+    p, q, r >= 1, counted as in :func:`conway_ref_cost`.
+
+    Every chain 1 -> X is 1 -> (head of X) = 1, and a power of base 1
+    multiplies nothing, so every value the machine builds is 1.
+
+    * 1 -> p -> 1 -> r collapses past its 1 to 1 -> p -> 1, which drops
+      its 1, and the power 1**p is one rule: 3 steps.  So q = 1 costs 3,
+      and so does every chain 1 -> p -> 1 -> s.
+    * r = 1, q >= 2: the last entry 1 is dropped, one rule, and 1 -> p ->
+      q costs 3p - 1 (:func:`conway_ref_cost`: p - 1 firings, 2 rules at
+      1 -> 1 -> q, and 2 at each of the p - 1 continuations 1 -> 1 ->
+      (q - 1)): 3p.
+    * q, r >= 2: the general rule fires q - 1 times, at q down to 2, and
+      leaves q - 1 continuations 1 -> p -> _ -> (r - 1).  Then 1 -> p -> 1
+      -> r costs 3, value 1, and each continuation resumes at 1 -> p -> 1
+      -> (r - 1), 3 each: (q - 1) + 3 + 3(q - 1) = 4q - 1.
+    """
+    if q == 1:
+        return 3
+    if r == 1:
+        return 3 * p
+    return 4 * q - 1
+
+
+def conway_1pqr_prim_cost(p: int, q: int, r: int) -> int:
+    """The steps ``conway_prim((1, p, q, r))`` charges, for p, q, r >= 1,
+    counted as in :func:`conway_prim_cost`; every value it builds is 1.
+
+    The front end reduces the reversed chain r, q, p, 1 to q' = r - 1, p' =
+    q - 1 and the tail (p - 1, 0): 4 steps.  ``foldr aux cpow`` applies
+    ``aux`` twice: the inner carrier k = ``aux 0 cpow`` is 1 -> (x + 1) ->
+    (y + 1) at (y, x), and the outer one is entered at (q', p') and
+    applies ``layer`` q' times: 2 + 1 + q' steps.
+
+    * The inner carrier at (y, p - 1) is entered (1 step), applies
+      ``layer`` y times, and enters its level-y function at p - 1.  Level
+      0 is ``flip_base`` calling ``cpow(x, 0)`` = 1: 2 steps.  A level-j >=
+      1 function is entered (1 step), starts from ``cpow(0, 0)`` = 1 (1
+      step), and applies its level j - 1 at 1 - 1 = 0, 2 steps, x times:
+      2 + 2x.  So k(0, p - 1) costs 3, and k(y, p - 1) for y >= 1 costs
+      1 + y + 2 + 2(p - 1) = y + 2p + 1.
+    * The outer level 0 is ``flip_base`` calling k(x, p - 1): K(0, x) = 1
+      + k(x, p - 1).  A level-j >= 1 function is entered, starts from
+      k(0, p - 1) = 1 at 3 steps, and applies its level j - 1 at 0, 4
+      steps, x times: K(j, x) = 4 + 4x, and K(0, 0) = 4 too.
+
+    The steps are 4 + 3 + q' + K(q', p') = 6 + r + K(r - 1, q - 1): 10 + r
+    when q = 1, 6 + 1 + 1 + (q - 1) + 2p + 1 = 8 + 2p + q when r = 1 and
+    q >= 2, and 6 + r + 4q when q, r >= 2.
+    """
+    if q == 1:
+        return 10 + r
+    if r == 1:
+        return 8 + 2 * p + q
+    return 4 * q + 6 + r
+
+
+def conway_2222r_ref_cost(r: int) -> int:
+    """The steps ``conway_ref((2, 2, 2, 2, r))`` takes, one per rule, for
+    r >= 1, counted as in :func:`conway_ref_cost`; every value is 4.
+
+    Write D(q, r) for the cost at 2 -> 2 -> 2 -> q -> r and C(q, r) for
+    :func:`conway_22qr_ref_cost`.
+
+    * r = 1: the last entry 1 is dropped, one rule, so D(q, 1) = 1 + C(2,
+      q) = 7 * 3^(q-1) + 3.  This chain is D(2, 1) = 24.
+    * 2 -> 2 -> 2 -> 1 -> r collapses past its 1 to 2 -> 2 -> 2 -> 1,
+      which drops its 1, and 2 -> 2 -> 2 costs 8: D(1, r) = 10.
+    * q, r >= 2: the general rule fires q - 1 times and leaves q - 1
+      continuations 2 -> 2 -> 2 -> _ -> (r - 1); then 2 -> 2 -> 2 -> 1 ->
+      r costs 10, and each continuation resumes at 2 -> 2 -> 2 -> 4 ->
+      (r - 1):
+
+          D(q, r) = (q - 1) + 10 + (q - 1) * D(4, r - 1).
+
+    D(4, r) = 13 + 3 * D(4, r - 1) from D(4, 1) = 192, so 2 * D(4, r) + 13
+    = 397 * 3^(r-1), and for r >= 2 this chain costs D(2, r) = 11 +
+    D(4, r - 1) = (397 * 3^(r-2) + 9) / 2.
+    """
+    if r == 1:
+        return 24
+    return (397 * 3 ** (r - 2) + 9) // 2
+
+
+def conway_2222r_prim_cost(r: int) -> int:
+    """The steps ``conway_prim((2, 2, 2, 2, r))`` charges, for r >= 1,
+    counted as in :func:`conway_prim_cost`; every value is 4.
+
+    The front end reduces the reversed chain r, 2, 2, 2, 2 to q' = r - 1,
+    p' = 1 and the tail (1, 1, 1): 5 steps.  ``foldr aux cpow`` applies
+    ``aux`` three times; the middle carrier k = ``aux 1 (aux 1 cpow)`` is
+    2 -> 2 -> (x + 1) -> (y + 1) at (y, x), and the outer one is entered at
+    (q', 1) and applies ``layer`` q' times: 3 + 1 + q' steps.  A call k(y,
+    x) costs what :func:`conway_22qr_prim_cost` counts for its chain, less
+    its front end (4) and its two ``aux`` (2): 7x * 3^y - 3x + y + 7.
+
+    Write K(j, x) for the cost of entering the outer carrier's level-j
+    function at x.  Level 0 is ``flip_base`` calling k(x, 1): K(0, x) = 7
+    * 3^x + x + 5.  A level-j >= 1 function is entered once and starts
+    from k(0, 1) = 4 at 11 steps; it then applies its level j - 1 at 4 -
+    1 = 3, x times:
+
+        K(j, x) = 12 + x * K(j - 1, 3).
+
+    K(j, 3) + 6 = 3 * (K(j - 1, 3) + 6) from K(0, 3) = 197, so K(j, 3) =
+    203 * 3^j - 6.  The steps are 5 + 4 + (r - 1) + K(r - 1, 1): 36 at r =
+    1, and 8 + r + 12 + 203 * 3^(r-2) - 6 = 203 * 3^(r-2) + r + 14 for r
+    >= 2.
+    """
+    if r == 1:
+        return 36
+    return 203 * 3 ** (r - 2) + r + 14
+
+
 def first_power_reaching(val, a, mag_limit):
     """The least j >= 1 with ``val * a**j >= mag_limit``, and that product,
     for a >= 2 and 1 <= val < mag_limit.

@@ -723,6 +723,24 @@ def test_conway_trip_respects_small_step_budget():
 
 
 @pytest.mark.parametrize(
+    "run, form",
+    [(conway_ref, "reference"), (conway_prim, "primitive")],
+    ids=["ref", "prim"],
+)
+def test_a_short_conway_chain_is_one_step(run, form):
+    # the empty chain is 1 and a one-entry chain its entry, each one rule or
+    # one fold application; nested, the second such step trips a budget of 1
+    for chain, value in (((), 1), ((1,), 1), ((7,), 7), ((10**20,), 10**20)):
+        assert run(chain, B) == (
+            value,
+            EvalStats(steps_used=1, peak_digits=len(str(value))),
+        )
+    with pytest.raises(BudgetExceeded) as trip:
+        evaluate(parse("conway(conway())"), form, Budget(max_steps=1))
+    assert trip.value.stats == EvalStats(steps_used=1, peak_digits=1)
+
+
+@pytest.mark.parametrize(
     "run, cost",
     [
         (conway_ref, _oracles.conway_1x2_ref_cost),
@@ -833,6 +851,54 @@ def test_conway_2_2_q_r_costs_exactly_the_formula(run, cost, tower_cost, line_co
         assert run(chain, Budget(max_steps=c)) == (
             4,
             EvalStats(steps_used=c, peak_digits=len(str(max(q, r, 4)))),
+        )
+        with pytest.raises(BudgetExceeded) as trip:
+            run(chain, Budget(max_steps=c - 1))
+        assert trip.value.stats.steps_used == c - 1, chain
+
+
+@pytest.mark.parametrize(
+    "run, cost",
+    [
+        (conway_ref, _oracles.conway_1pqr_ref_cost),
+        (conway_prim, _oracles.conway_1pqr_prim_cost),
+    ],
+    ids=["ref", "prim"],
+)
+def test_conway_1_p_q_r_costs_exactly_the_formula(run, cost):
+    # 1->p->q->r = 1 at exactly C steps, and a budget of C - 1 trips there:
+    # every p, q, r <= 6, and q = 10^5
+    cases = list(itertools.product(range(1, 7), repeat=3)) + [(3, 10**5, 3)]
+    for p, q, r in cases:
+        c = cost(p, q, r)
+        chain = (1, p, q, r)
+        assert run(chain, Budget(max_steps=c)) == (
+            1,
+            EvalStats(steps_used=c, peak_digits=len(str(max(p, q, r)))),
+        )
+        with pytest.raises(BudgetExceeded) as trip:
+            run(chain, Budget(max_steps=c - 1))
+        assert trip.value.stats.steps_used == c - 1, chain
+
+
+@pytest.mark.parametrize(
+    "run, cost, first",
+    [
+        (conway_ref, _oracles.conway_2222r_ref_cost, [24, 203, 600, 1791]),
+        (conway_prim, _oracles.conway_2222r_prim_cost, [36, 219, 626, 1845]),
+    ],
+    ids=["ref", "prim"],
+)
+def test_conway_2_2_2_2_r_costs_exactly_the_formula(run, cost, first):
+    # 2->2->2->2->r = 4 at exactly C steps, and a budget of C - 1 trips
+    # there, for r <= 9 (434,124 rules, 443,984 fold steps)
+    assert [cost(r) for r in range(1, 5)] == first
+    for r in range(1, 10):
+        c = cost(r)
+        chain = (2, 2, 2, 2, r)
+        assert run(chain, Budget(max_steps=c)) == (
+            4,
+            EvalStats(steps_used=c, peak_digits=1),
         )
         with pytest.raises(BudgetExceeded) as trip:
             run(chain, Budget(max_steps=c - 1))

