@@ -188,9 +188,7 @@ def conway_machine(entries, max_steps, max_digits, steps=0, peak=0):
     machine as it was with a private power loop, ``conway_literal_machine``,
     and the tests compare the two tuple for tuple.
     """
-    for e in entries:
-        if e > peak:
-            peak = e
+    peak = max((peak, *entries))
     if reaches_cap(peak, max_digits):
         return (TRIP_MAGNITUDE, 0, steps, peak)
     rev = tuple(reversed(entries))

@@ -11,21 +11,22 @@ owns the charging rules, shared by every evaluator of both families:
 * any produced value with more than ``max_digits`` decimal digits aborts.
 
 ``peak_digits`` is the decimal size of the largest value held at any point
-during the evaluation, inputs included.  The digit cap is decided by bit
-length (:func:`reaches_cap`): ``10**max_digits`` is built only for a value
-within a couple of bits of it, never up front, so a budget costs nothing
-until work is done, whatever its cap.  Digit counts and the cap answer "how
-many decimal digits?" the same way: one log2(10) bracket on the bit length,
-then at most one power of ten from one bounded cache, which the decimal
-parser shares.
+during the evaluation, inputs included: once all are valid, a call's
+inputs enter it as one maximum, in both families.  The digit cap is decided
+by bit length (:func:`reaches_cap`): ``10**max_digits`` is built only for a
+value within a couple of bits of it, never up front, so a budget costs
+nothing until work is done, whatever its cap.  Digit counts ask the same
+function within one log2(10) bracket on the bit length, so either builds at
+most one power of ten, from one bounded cache, which the decimal parser
+shares.
 
 Two ways to charge, one protocol.  The fold forms charge a :class:`Meter`
 directly: ``spend(1, v)`` charges one generator application and notes the
-value v it yields, in one call, and ``note`` notes an input.  Every
-counted run, the rewrite machines included, keeps local counters: it takes
-``max_steps, max_digits, steps, peak`` as its last four arguments and
-returns a status tuple ``(status, value, steps, peak_value)``, status
-:data:`OK`, :data:`TRIP_STEPS` or :data:`TRIP_MAGNITUDE`.
+value v it yields, in one call, and ``note`` notes a call's inputs, as
+their maximum.  Every counted run, the rewrite machines included, keeps
+local counters: it takes ``max_steps, max_digits, steps, peak`` as its last
+four arguments and returns a status tuple ``(status, value, steps,
+peak_value)``, status :data:`OK`, :data:`TRIP_STEPS` or :data:`TRIP_MAGNITUDE`.
 :meth:`Meter.run` is the one door between them: it calls the run from the
 meter's counters and folds the tuple back, raising the same trip as
 ``spend`` would.
@@ -194,7 +195,7 @@ def decimal_digits(value: int) -> int:
     A value of b bits lies in ``[2**(b-1), 2**b)``, so it has at least
     ``1 + (b-1) * DEN // (NUM+1)`` and at most ``1 + b * DEN // NUM`` digits
     (the log2(10) bracket).  The bounds meet, or differ by one for any value
-    that fits in memory, and then one power of ten decides between them.
+    that fits in memory, and then :func:`reaches_cap` decides between them.
     """
     if value < 0:
         raise ValueError("decimal_digits is defined for non-negative values")
@@ -203,7 +204,7 @@ def decimal_digits(value: int) -> int:
     bits = value.bit_length()
     digits = 1 + (bits - 1) * _LOG2_10_DEN // (_LOG2_10_NUM + 1)
     most = 1 + bits * _LOG2_10_DEN // _LOG2_10_NUM
-    while digits < most and value >= _pow10(digits):
+    while digits < most and reaches_cap(value, digits):
         digits += 1
     return digits
 

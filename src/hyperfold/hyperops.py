@@ -22,7 +22,9 @@ Each function of the hierarchy is implemented twice:
   or transformer (``layer``, ``aux``) and per entry into a closure they
   build; ``succ`` and ``times_a`` charge theirs and note the value they
   yield in one call, ``meter.spend(1, v)``, as does a Conway chain of
-  fewer than two entries, whose value is one application.  Fold fusion is
+  fewer than two entries, whose value is one application.  A call's
+  inputs enter the peak as one ``meter.note(max(...))``, after every input
+  is validated, as the machines take ``max(peak, inputs)``.  Fold fusion is
   ``foldn``'s own law: a generator that carries ``iterate(v, c)`` has
   ``foldn gen v c`` run in closed form, charged as its c applications.
   Only ``times_a`` has one, so ``foldn (a*) 1 x = a^x`` is one run of x
@@ -125,8 +127,7 @@ def eval_ack_ref(m: int, n: int, meter: Meter) -> int:
 def eval_ack_prim(m: int, n: int, meter: Meter) -> int:
     m = _require_natural("m", m, meter)
     n = _require_natural("n", n, meter)
-    meter.note(m)
-    meter.note(n)
+    meter.note(max(m, n))
 
     def succ(x: int) -> int:
         return meter.spend(1, x + 1)
@@ -151,9 +152,7 @@ def eval_knuth_prim(a: int, n: int, b: int, meter: Meter) -> int:
     a = _require_natural("a", a, meter)
     n = _require_natural("n", n, meter)
     b = _require_natural("b", b, meter)
-    meter.note(a)
-    meter.note(b)
-    meter.note(n)
+    meter.note(max(a, n, b))
 
     def times_a(x: int) -> int:
         return meter.spend(1, a * x)
@@ -187,8 +186,7 @@ def eval_conway_ref(entries: Sequence[int], meter: Meter) -> int:
 
 def eval_conway_prim(entries: Sequence[int], meter: Meter) -> int:
     chain = _checked_chain(entries, meter)
-    for e in chain:
-        meter.note(e)
+    meter.note(max(chain, default=0))
     # front end: trivial lengths, then reverse, reduce every entry by one,
     # and hand (tail, q, p) to the fold-built back end
     if len(chain) < 2:  # one fold application yields the chain's value
@@ -207,9 +205,7 @@ def eval_cback_prim(
     tail = tuple(reduced_tail)
     for e in tail:
         _require_natural("tail entry", e, meter)
-        meter.note(e)
-    meter.note(q)
-    meter.note(p)
+    meter.note(max(q, p, *tail))
     _ensure_depth(len(tail) + 2, meter)
 
     # foldr aux cpow over the reduced, reversed tail; carriers are binary
@@ -240,8 +236,7 @@ def eval_cback_prim(
 def eval_cpow(q: int, p: int, meter: Meter) -> int:
     q = _require_natural("q", q, meter)
     p = _require_natural("p", p, meter)
-    meter.note(q)
-    meter.note(p)
+    meter.note(max(q, p))
     return meter.run(pow_counted, p + 1, q + 1)
 
 

@@ -10,7 +10,9 @@ for m <= 3 at any n, ``knuth_cost`` the Knuth count from its recurrence,
 ``conway_1x2_ref_cost`` and ``conway_1x2_prim_cost`` both forms' steps on
 the chain 1 -> x -> 2, ``conway_ref_cost`` and ``conway_prim_cost`` on any
 chain of three entries, ``conway_22qr_ref_cost`` and
-``conway_22qr_prim_cost`` on the chains 2 -> 2 -> q -> r, ``pow_cost`` the
+``conway_22qr_prim_cost`` on the chains 2 -> 2 -> q -> r,
+``conway_p1qr_ref_cost`` and ``conway_p1qr_prim_cost`` on p -> 1 -> q -> r,
+``pow_cost`` the
 multiplies of a counted power,
 and ``ack_literal_machine``,
 ``knuth_literal_machine`` and ``conway_literal_machine`` are the unshortcut
@@ -475,6 +477,70 @@ def conway_1pqr_prim_cost(p: int, q: int, r: int) -> int:
     return 4 * q + 6 + r
 
 
+def conway_p1qr_ref_cost(p: int, q: int, r: int) -> int:
+    """The steps ``conway_ref((p, 1, q, r))`` takes, one per rule, for
+    p >= 2 and q, r >= 1, counted as in :func:`conway_ref_cost`.
+
+    Every chain p -> 1 -> X is p, and every value the machine builds is p:
+    its only power is p**1, one rule and P(1) = 1 multiply.  Write C(q, r)
+    for the cost at p -> 1 -> q -> r.
+
+    * r = 1: the last entry 1 is dropped, p -> 1 -> q collapses past its 1
+      to p -> 1, which drops its 1, and the power p**1: C(q, 1) = 1 + 1 +
+      2 = 4.
+    * q = 1: p -> 1 -> 1 -> r collapses past its 1 to p -> 1 -> 1, then
+      as above: C(1, r) = 4.
+    * q, r >= 2: the general rule fires q - 1 times, at q down to 2, and
+      leaves q - 1 continuations p -> 1 -> _ -> (r - 1).  Then p -> 1 -> 1
+      -> r costs 4, value p, and each continuation resumes at p -> 1 -> p
+      -> (r - 1):
+
+          C(q, r) = (q - 1) + 4 + (q - 1) * C(p, r - 1).
+
+    So C(q, r) - 4 = (q - 1) * E(r), where E(r) = 5 + (p - 1) * E(r - 1)
+    from E(1) = 0, which is 5 * sum((p - 1)^i, i <= r - 2):
+
+        C(q, r) = 4 + 5 * (q - 1) * sum((p - 1)^i, i = 0 .. r - 2),
+
+    which q = 1 and r = 1 meet too.  (At p = 1 the power 1**1 multiplies
+    nothing: :func:`conway_1pqr_ref_cost`.)
+    """
+    return 4 + 5 * (q - 1) * sum((p - 1) ** i for i in range(r - 1))
+
+
+def conway_p1qr_prim_cost(p: int, q: int, r: int) -> int:
+    """The steps ``conway_prim((p, 1, q, r))`` charges, for p >= 2 and
+    q, r >= 1, counted as in :func:`conway_prim_cost`; every value it
+    builds is p.
+
+    The front end reduces the reversed chain r, q, 1, p to q' = r - 1, p' =
+    q - 1 and the tail (0, p - 1): 4 steps.  ``foldr aux cpow`` applies
+    ``aux`` twice: the inner carrier k = ``aux (p - 1) cpow`` is p -> (x +
+    1) -> (y + 1) at (y, x), and the outer one is entered at (q', p') and
+    applies ``layer`` q' times: 2 + 1 + q' steps.
+
+    * The inner carrier at (y, 0) is p -> 1 -> (y + 1) = p.  It is entered
+      (1 step), applies ``layer`` y times, and enters its level-y function
+      at 0.  Level 0 is ``flip_base`` calling ``cpow(0, p - 1)`` = p, and a
+      level-j >= 1 function is entered and starts from ``cpow(0, p - 1)``,
+      applying nothing: either way 1 + 1 + P(1) = 3 steps.  So k(y, 0)
+      costs y + 4.
+    * The outer level 0 is ``flip_base`` calling k(x, 0): K(0, x) = x + 5.
+      A level-j >= 1 function is entered, starts from k(0, 0) = p at 4
+      steps, and applies its level j - 1 at p - 1, x times: K(j, x) = 5 +
+      x * A(j - 1), where A(j) = K(j, p - 1).  With A(-1) = 1 this holds
+      at j = 0 too, and A(j) = 5 + (p - 1) * A(j - 1), so
+
+          A(r - 2) = (p - 1)^(r - 1) + 5 * sum((p - 1)^i, i = 0 .. r - 2).
+
+    The steps are 4 + 3 + q' + K(q', p') = 11 + r + (q - 1) * A(r - 2):
+    10 + q + r when q = 1 or r = 1, and 19, 25, 31 for r = 2, 3, 4 at
+    p = q = 2.
+    """
+    a = (p - 1) ** (r - 1) + 5 * sum((p - 1) ** i for i in range(r - 1))
+    return 11 + r + (q - 1) * a
+
+
 def conway_2222r_ref_cost(r: int) -> int:
     """The steps ``conway_ref((2, 2, 2, 2, r))`` takes, one per rule, for
     r >= 1, counted as in :func:`conway_ref_cost`; every value is 4.
@@ -737,8 +803,7 @@ def ack_literal_prim(m: int, n: int, meter: Meter) -> int:
     with ``run_budgeted``."""
     m = _require_natural("m", m, meter)
     n = _require_natural("n", n, meter)
-    meter.note(m)
-    meter.note(n)
+    meter.note(max(m, n))
     _ensure_depth(m, meter)
 
     def succ(x: int) -> int:
@@ -767,9 +832,7 @@ def knuth_literal_prim(a: int, n: int, b: int, meter: Meter) -> int:
     a = _require_natural("a", a, meter)
     n = _require_natural("n", n, meter)
     b = _require_natural("b", b, meter)
-    meter.note(a)
-    meter.note(b)
-    meter.note(n)
+    meter.note(max(a, n, b))
     _ensure_depth(n, meter)
 
     def times_a(x: int) -> int:

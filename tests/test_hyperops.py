@@ -699,6 +699,48 @@ def test_conway_ref_trip_memory_is_bounded_by_runs():
         assert peak < 1 << 20, (chain, peak)
 
 
+@pytest.mark.parametrize(
+    "ref, prim, inputs",
+    [
+        (ack_ref, ack_prim, (1000, 50_000)),
+        (knuth_ref, knuth_prim, (7, 1000, 50_000)),
+        (knuth_ref, knuth_prim, (1000, 50_000, 123_456)),
+        (conway_ref, conway_prim, (7, 1000, 50_000)),
+        (conway_ref, conway_prim, (7, 1000, 50_000, 123_456)),
+    ],
+    ids=["ack", "knuth-2-over", "knuth-3-over", "conway-2-over", "conway-3-over"],
+)
+def test_families_agree_on_input_trips(ref, prim, inputs):
+    # a call's inputs enter the peak as their maximum, once all are valid:
+    # with two or more at or over the cap, in any order, both families
+    # trip before any step with the largest input's digits
+    budget = Budget(max_digits=3)
+    want = EvalStats(steps_used=0, peak_digits=len(str(max(inputs))))
+    for order in itertools.permutations(inputs):
+        args = (order,) if ref is conway_ref else order
+        for run in (ref, prim):
+            with pytest.raises(MagnitudeExceeded) as trip:
+                run(*args, budget)
+            assert trip.value.stats == want, (run.__name__, order)
+
+
+def test_back_end_inputs_enter_the_peak_as_their_maximum():
+    # cback_prim and cpow take their inputs as one maximum too, and the
+    # back end validates its whole tail before it notes any of it
+    budget = Budget(max_digits=3)
+    for q, p in itertools.permutations((1000, 50_000)):
+        with pytest.raises(MagnitudeExceeded) as trip:
+            cpow(q, p, budget)
+        assert trip.value.stats == EvalStats(steps_used=0, peak_digits=5)
+    for e, q, p in itertools.permutations((1000, 50_000, 7)):
+        with pytest.raises(MagnitudeExceeded) as trip:
+            cback_prim((e,), q, p, budget)
+        assert trip.value.stats == EvalStats(steps_used=0, peak_digits=5)
+    with pytest.raises(DomainError) as invalid:
+        cback_prim((5000, -1), 3, 4, budget)
+    assert invalid.value.stats == EvalStats(steps_used=0, peak_digits=1)
+
+
 def test_conway_rejects_zero_entries():
     with pytest.raises(DomainError):
         conway_ref([2, 0, 3], B)
@@ -874,6 +916,45 @@ def test_conway_1_p_q_r_costs_exactly_the_formula(run, cost):
         chain = (1, p, q, r)
         assert run(chain, Budget(max_steps=c)) == (
             1,
+            EvalStats(steps_used=c, peak_digits=len(str(max(p, q, r)))),
+        )
+        with pytest.raises(BudgetExceeded) as trip:
+            run(chain, Budget(max_steps=c - 1))
+        assert trip.value.stats.steps_used == c - 1, chain
+
+
+@pytest.mark.parametrize(
+    "run, cost, large, first",
+    [
+        (
+            conway_ref,
+            _oracles.conway_p1qr_ref_cost,
+            (3, 5 * 10**4, 3),
+            [[4, 9, 14, 19], [4, 14, 34, 74], [4, 19, 64, 199]],
+        ),
+        (
+            conway_prim,
+            _oracles.conway_p1qr_prim_cost,
+            (3, 10**4, 3),
+            [[13, 19, 25, 31], [14, 27, 52, 101], [15, 37, 101, 291]],
+        ),
+    ],
+    ids=["ref", "prim"],
+)
+def test_conway_p_1_q_r_costs_exactly_the_formula(run, cost, large, first):
+    # p->1->q->r = p at exactly C steps, and a budget of C - 1 trips there:
+    # every 2 <= p <= 6 with q, r <= 6, and one large q; ``first`` holds
+    # the costs for r = 1..4 at p = q = 2, 3, 4
+    for p, costs in zip((2, 3, 4), first):
+        assert [cost(p, p, r) for r in range(1, 5)] == costs
+    cases = list(itertools.product(range(2, 7), range(1, 7), range(1, 7)))
+    for p, q, r in cases + [large]:
+        c = cost(p, q, r)
+        if q == 1 or r == 1:
+            assert c == (4 if run is conway_ref else 10 + q + r), (p, q, r)
+        chain = (p, 1, q, r)
+        assert run(chain, Budget(max_steps=c)) == (
+            p,
             EvalStats(steps_used=c, peak_digits=len(str(max(p, q, r)))),
         )
         with pytest.raises(BudgetExceeded) as trip:
