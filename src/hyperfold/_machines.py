@@ -4,7 +4,9 @@ Each machine is an explicit work-stack loop — never native recursion — and
 a counted run in the protocol of :mod:`hyperfold.budget`: its last four
 arguments are ``max_steps, max_digits, steps, peak`` and it returns a plain
 status tuple ``(status, value, steps, peak_value)``, which ``Meter.run``
-folds back into the meter, turning a trip into its exception.
+folds back into the meter, turning a trip into its exception.  Under that
+module's counted-run contract its evaluator has taken its inputs in
+(``hyperops._take_inputs``), so no machine checks or notes them.
 
 The Ackermann and Knuth machines are one loop on ``(level, count)`` runs,
 :func:`_tower`, and the Conway machine keeps its continuation frames as
@@ -24,7 +26,6 @@ from math import isqrt
 
 from .budget import (
     OK,
-    TRIP_MAGNITUDE,
     TRIP_STEPS,
     _pow10,
     add_run,
@@ -84,8 +85,6 @@ def _tower(level, x, base_run, offset, max_steps, max_digits, steps, peak):
     Values, steps, trip kinds and peaks are exactly those of the literal
     machines in ``tests/_oracles.py``.
     """
-    if reaches_cap(peak, max_digits):
-        return (TRIP_MAGNITUDE, 0, steps, peak)
     blocks = []
     k, c = level, 1  # the top run
     while True:
@@ -137,17 +136,16 @@ def _level1_run(n, count, max_steps, max_digits, steps, peak):
     return _tower(1, n, add_run, 1, max_steps, max_digits, steps, peak)
 
 
-def ack_machine(m0, n0, max_steps, max_digits, steps=0, peak=0):
+def ack_machine(m0, n0, max_steps, max_digits, steps, peak):
     """Ackermann by its three rewrite equations, one step per application:
     :func:`_tower` with offset 1 on level-1 frames, or on one increment for
     m0 = 0.  It holds at most m0 runs."""
-    peak = max(peak, m0, n0)
     if m0 == 0:
         return _tower(0, n0, add_run, 1, max_steps, max_digits, steps, peak)
     return _tower(m0 - 1, n0, _level1_run, 1, max_steps, max_digits, steps, peak)
 
 
-def knuth_machine(a, n0, b, max_steps, max_digits, steps=0, peak=0):
+def knuth_machine(a, n0, b, max_steps, max_digits, steps, peak):
     """Extended up-arrow by its rewrite equations, level 0 one multiply:
     :func:`_tower` with offset 0 on :func:`~hyperfold.budget.mul_run`, which
     finds a run's trip point in closed form, as the fold form's innermost
@@ -155,9 +153,8 @@ def knuth_machine(a, n0, b, max_steps, max_digits, steps=0, peak=0):
 
     For a = 1 and n0 >= 1 every value is 1, and the rules take exactly
     ``2 * n0 * b + 1`` steps (a level-k frame at 1 is 2k + 1 of them), so
-    they are charged at once rather than one loop pass per frame."""
-    peak = max(peak, a, n0, b)
-    if a == 1 and n0 and not reaches_cap(peak, max_digits):
+    they are charged at once, and none can trip the cap."""
+    if a == 1 and n0:
         steps += 2 * n0 * b + 1
         if steps > max_steps:
             return (TRIP_STEPS, 0, max_steps, peak)
@@ -169,7 +166,7 @@ def knuth_machine(a, n0, b, max_steps, max_digits, steps=0, peak=0):
     return _tower(n0, b, times_a, 0, max_steps, max_digits, steps, peak)
 
 
-def conway_machine(entries, max_steps, max_digits, steps=0, peak=0):
+def conway_machine(entries, max_steps, max_digits, steps, peak):
     """Chained-arrow rewriting over the reversed chain, one step per rule.
 
     A configuration is (h0, h1, idx): the list h0 : h1 : rev[idx:], where
@@ -188,9 +185,6 @@ def conway_machine(entries, max_steps, max_digits, steps=0, peak=0):
     machine as it was with a private power loop, ``conway_literal_machine``,
     and the tests compare the two tuple for tuple.
     """
-    peak = max((peak, *entries))
-    if reaches_cap(peak, max_digits):
-        return (TRIP_MAGNITUDE, 0, steps, peak)
     rev = tuple(reversed(entries))
     end = len(rev)
     if end < 2:

@@ -27,9 +27,13 @@ their maximum.  Every counted run, the rewrite machines included, keeps
 local counters: it takes ``max_steps, max_digits, steps, peak`` as its last
 four arguments and returns a status tuple ``(status, value, steps,
 peak_value)``, status :data:`OK`, :data:`TRIP_STEPS` or :data:`TRIP_MAGNITUDE`.
-:meth:`Meter.run` is the one door between them: it calls the run from the
-meter's counters and folds the tuple back, raising the same trip as
-``spend`` would.
+The counted-run contract: a run is called with ``steps`` and a ``peak``
+(a raw value, not digits) below ``10**max_digits`` that is at least every
+value the run starts from, a machine's inputs or a run's ``val``: its
+caller took them in, so no run checks or notes its own.  Operands are
+non-negative, and a step trip reports ``max_steps``.  :meth:`Meter.run`
+is the one door between them: it calls the run from the meter's counters
+and folds the tuple back, raising the same trip as ``spend`` would.
 :func:`pow_counted` is the one counted exponentiation, one builtin power
 charged the multiplies square-and-multiply would take; the fold forms
 reach it through ``Meter.run``, the Conway machine calls it directly.  A
@@ -487,17 +491,16 @@ def pow_counted(base, exponent, max_steps, max_digits, steps, peak):
     each of its ``bit_length - 1`` squares and ``bit_count`` products (the
     binary method, Knuth, TAOCP vol. 2, §4.6.3, Algorithm A).
 
-    Counts from ``steps`` and ``peak`` (a raw value, not digits) and returns
-    ``(status, value, steps, peak)``; a step trip reports ``max_steps``.
-    Fails fast with TRIP_MAGNITUDE, before any multiply, exactly when
-    ``base**exponent >= 10**max_digits`` (:func:`pow_reaches_cap`).
+    A counted run (see the module docstring) whose operands need not be in
+    the peak: its power is.  Fails fast with TRIP_MAGNITUDE, before any
+    multiply, exactly when ``base**exponent >= 10**max_digits``
+    (:func:`pow_reaches_cap`).
     Otherwise it is one builtin power, charged at once.  For a base >= 2 no
     multiply builds less than one before it: in exponents, the square
     ``2**(i+1)`` exceeds the product ``exponent mod 2**(i+1)`` before it,
     and the product of bit i + 1 adds that square.  So the peak is the
     power, or on a step trip the last power that fit, the only one built.
-    Bases 0 and 1 never grow, so ``1**huge`` never trips.  Operands must be
-    non-negative.
+    Bases 0 and 1 never grow, so ``1**huge`` never trips.
     """
     if exponent == 0:
         return (OK, 1, steps, max(peak, 1))
@@ -523,12 +526,10 @@ def pow_counted(base, exponent, max_steps, max_digits, steps, peak):
 def mul_run(val, a, count, max_steps, max_digits, steps, peak):
     """``val * a**count`` by ``count`` multiplies by ``a``, one step each.
 
-    Counts from ``steps`` and ``peak`` (a raw value, not digits), needs
-    non-negative operands and ``val <= peak < 10**max_digits``, and returns
-    ``(status, value, steps, peak)``, exactly as the multiplies run one at a
-    time would.  A magnitude trip reports ``steps + j`` and the first product
-    ``val * a**j`` with more than ``max_digits`` digits; a step trip reports
-    ``max_steps``, with ``val * a**headroom`` counted in the peak.  Products
+    A counted run (see the module docstring), exactly as the multiplies
+    run one at a time would.  A magnitude trip reports ``steps + j`` and
+    the first product ``val * a**j`` with more than ``max_digits`` digits;
+    a step trip counts ``val * a**headroom`` in the peak.  Products
     of ``a`` in {0, 1}, or of ``val = 0``, never exceed the peak; only a
     growing run looks for its trip point, in closed form
     (:func:`_first_reaching`).
@@ -548,10 +549,10 @@ def mul_run(val, a, count, max_steps, max_digits, steps, peak):
 
 
 def add_run(val, count, max_steps, max_digits, steps, peak):
-    """``val + count`` by ``count`` increments, one step each, in the
-    contract and protocol of :func:`mul_run`.  A magnitude trip reports the
-    first value to reach the cap, ``10**max_digits``, which is built only
-    for a run that comes within a couple of bits of it."""
+    """``val + count`` by ``count`` increments, one step each, a counted
+    run as :func:`mul_run` is.  A magnitude trip reports the first value to
+    reach the cap, ``10**max_digits``, which is built only for a run that
+    comes within a couple of bits of it."""
     headroom = max_steps - steps
     top = val + min(count, headroom)
     if top > peak:

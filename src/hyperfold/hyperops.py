@@ -22,9 +22,7 @@ Each function of the hierarchy is implemented twice:
   or transformer (``layer``, ``aux``) and per entry into a closure they
   build; ``succ`` and ``times_a`` charge theirs and note the value they
   yield in one call, ``meter.spend(1, v)``, as does a Conway chain of
-  fewer than two entries, whose value is one application.  A call's
-  inputs enter the peak as one ``meter.note(max(...))``, after every input
-  is validated, as the machines take ``max(peak, inputs)``.  Fold fusion is
+  fewer than two entries, whose value is one application.  Fold fusion is
   ``foldn``'s own law: a generator that carries ``iterate(v, c)`` has
   ``foldn gen v c`` run in closed form, charged as its c applications.
   Only ``times_a`` has one, so ``foldn (a*) 1 x = a^x`` is one run of x
@@ -32,6 +30,11 @@ Each function of the hierarchy is implemented twice:
   with the steps, peak and trip point of x entries into ``times_a``.
   ``eval_conway_prim`` is the front end and hands its reduced chain to
   ``eval_cback_prim``.
+
+Every evaluator of both families starts with one prologue,
+:func:`_take_inputs` (:func:`_checked_chain` for a chain): it validates
+each input in order, then notes their maximum once, before any machine or
+fold runs, so the machines take their inputs as given.
 
 The two families agree pointwise on every input where both finish within
 budget; that agreement is this package's reason to exist, and the property
@@ -46,7 +49,7 @@ from __future__ import annotations
 import contextlib
 import sys
 import threading
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from ._machines import ack_machine, conway_machine, knuth_machine
 from .budget import (
@@ -75,10 +78,18 @@ CLOSURE_DEPTH_LIMIT = 1200
 _RECURSION_CEILING = 12000
 
 
-def _require_natural(name: str, value, meter: Meter) -> int:
-    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-        raise DomainError(f"{name} must be a non-negative integer", meter.stats())
-    return value
+def _take_inputs(meter: Meter, inputs: Iterable[tuple[str, int]]) -> list[int]:
+    """Take a call's inputs, the prologue of every evaluator in both
+    families, and return their values.  Each ``(name, value)`` pair, read
+    in order, must be a non-negative integer; then their maximum enters
+    the peak, once, before any machine or fold runs."""
+    values = []
+    for name, value in inputs:
+        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+            raise DomainError(f"{name} must be a non-negative integer", meter.stats())
+        values.append(value)
+    meter.note(max(values))
+    return values
 
 
 def _ensure_depth(depth: int, meter: Meter) -> None:
@@ -119,15 +130,12 @@ def _tower(gen, depth, x, meter, start, step=None):
 
 
 def eval_ack_ref(m: int, n: int, meter: Meter) -> int:
-    m = _require_natural("m", m, meter)
-    n = _require_natural("n", n, meter)
+    _take_inputs(meter, (("m", m), ("n", n)))
     return meter.run(ack_machine, m, n)
 
 
 def eval_ack_prim(m: int, n: int, meter: Meter) -> int:
-    m = _require_natural("m", m, meter)
-    n = _require_natural("n", n, meter)
-    meter.note(max(m, n))
+    _take_inputs(meter, (("m", m), ("n", n)))
 
     def succ(x: int) -> int:
         return meter.spend(1, x + 1)
@@ -142,17 +150,12 @@ def eval_ack_prim(m: int, n: int, meter: Meter) -> int:
 
 
 def eval_knuth_ref(a: int, n: int, b: int, meter: Meter) -> int:
-    a = _require_natural("a", a, meter)
-    n = _require_natural("n", n, meter)
-    b = _require_natural("b", b, meter)
+    _take_inputs(meter, (("a", a), ("n", n), ("b", b)))
     return meter.run(knuth_machine, a, n, b)
 
 
 def eval_knuth_prim(a: int, n: int, b: int, meter: Meter) -> int:
-    a = _require_natural("a", a, meter)
-    n = _require_natural("n", n, meter)
-    b = _require_natural("b", b, meter)
-    meter.note(max(a, n, b))
+    _take_inputs(meter, (("a", a), ("n", n), ("b", b)))
 
     def times_a(x: int) -> int:
         return meter.spend(1, a * x)
@@ -176,6 +179,7 @@ def _checked_chain(entries: Sequence[int], meter: Meter) -> Chain:
                 f"chain entries must be integers >= 1, got {value_text(e)}",
                 meter.stats(),
             )
+    meter.note(max(chain, default=0))
     return chain
 
 
@@ -186,7 +190,6 @@ def eval_conway_ref(entries: Sequence[int], meter: Meter) -> int:
 
 def eval_conway_prim(entries: Sequence[int], meter: Meter) -> int:
     chain = _checked_chain(entries, meter)
-    meter.note(max(chain, default=0))
     # front end: trivial lengths, then reverse, reduce every entry by one,
     # and hand (tail, q, p) to the fold-built back end
     if len(chain) < 2:  # one fold application yields the chain's value
@@ -200,12 +203,13 @@ def eval_conway_prim(entries: Sequence[int], meter: Meter) -> int:
 def eval_cback_prim(
     reduced_tail: Sequence[int], q: int, p: int, meter: Meter
 ) -> int:
-    q = _require_natural("q", q, meter)
-    p = _require_natural("p", p, meter)
-    tail = tuple(reduced_tail)
-    for e in tail:
-        _require_natural("tail entry", e, meter)
-    meter.note(max(q, p, *tail))
+    def inputs():  # q and p are checked before the tail is read
+        yield "q", q
+        yield "p", p
+        for e in reduced_tail:
+            yield "tail entry", e
+
+    q, p, *tail = _take_inputs(meter, inputs())
     _ensure_depth(len(tail) + 2, meter)
 
     # foldr aux cpow over the reduced, reversed tail; carriers are binary
@@ -234,9 +238,7 @@ def eval_cback_prim(
 
 
 def eval_cpow(q: int, p: int, meter: Meter) -> int:
-    q = _require_natural("q", q, meter)
-    p = _require_natural("p", p, meter)
-    meter.note(max(q, p))
+    _take_inputs(meter, (("q", q), ("p", p)))
     return meter.run(pow_counted, p + 1, q + 1)
 
 

@@ -12,11 +12,14 @@ the chain 1 -> x -> 2, ``conway_ref_cost`` and ``conway_prim_cost`` on any
 chain of three entries, ``conway_22qr_ref_cost`` and
 ``conway_22qr_prim_cost`` on the chains 2 -> 2 -> q -> r,
 ``conway_p1qr_ref_cost`` and ``conway_p1qr_prim_cost`` on p -> 1 -> q -> r,
+``conway_p1qrs_ref_cost`` and ``conway_p1qrs_prim_cost`` on p -> 1 -> q ->
+r -> s,
 ``pow_cost`` the
 multiplies of a counted power,
 and ``ack_literal_machine``,
 ``knuth_literal_machine`` and ``conway_literal_machine`` are the unshortcut
 work-stack rewriters used to pin down the production machines' accounting,
+which ``machine_run`` runs under the evaluators' input rule,
 and ``first_power_reaching`` the exact trip point of a multiply run.
 ``ack_literal_prim`` and ``knuth_literal_prim`` are the fold forms with no
 shortcut at all, each its own closure tower with one closure entry per
@@ -34,9 +37,9 @@ import threading
 from functools import lru_cache
 from typing import Callable
 
-from hyperfold.budget import Budget, Meter
+from hyperfold.budget import TRIP_MAGNITUDE, Budget, Meter, reaches_cap
 from hyperfold.folds import foldn
-from hyperfold.hyperops import _ensure_depth, _require_natural
+from hyperfold.hyperops import _ensure_depth, _take_inputs
 from hyperfold.notation import Ack, ChainE, ConwayCall, Knuth, NatLit, parse
 
 STACK_BYTES = 512 * 1024 * 1024
@@ -541,6 +544,88 @@ def conway_p1qr_prim_cost(p: int, q: int, r: int) -> int:
     return 11 + r + (q - 1) * a
 
 
+def conway_p1qrs_ref_cost(p: int, q: int, r: int, s: int) -> int:
+    """The steps ``conway_ref((p, 1, q, r, s))`` takes, one per rule, for
+    p >= 2 and q, r, s >= 1, counted as in :func:`conway_ref_cost`; every
+    value the machine builds is p.  Write D(r, s) for the cost at p -> 1 ->
+    q -> r -> s, C(q, r) for :func:`conway_p1qr_ref_cost` and S(r) for
+    sum((p - 1)^i, i = 0 .. r - 2), so C(q, r) = 4 + 5 * (q - 1) * S(r).
+
+    * s = 1: the last entry 1 is dropped, one rule: D(r, 1) = 1 + C(q, r)
+      = 5 + 5 * (q - 1) * S(r).
+    * r = 1: p -> 1 -> q -> 1 -> s collapses past its 1 to p -> 1 -> q ->
+      1, which drops its 1, and p -> 1 -> q costs 3 (:func:`conway_ref_cost`
+      at q = 1 or r = 1: 2 + P(1)): D(1, s) = 5.
+    * r, s >= 2: the general rule fires r - 1 times, at r down to 2, and
+      leaves r - 1 continuations p -> 1 -> q -> _ -> (s - 1).  Then p -> 1
+      -> q -> 1 -> s costs 5, value p, and each continuation resumes at
+      p -> 1 -> q -> p -> (s - 1):
+
+          D(r, s) = (r - 1) + 5 + (r - 1) * D(p, s - 1),
+
+      which r = 1 meets too.  So D(r, s) = 5 + (r - 1) * G(s - 1), where
+      G(t) = 1 + D(p, t) = 6 + (p - 1) * G(t - 1) from G(1) = 6 + 5 * (q -
+      1) * S(p), and for s >= 2
+
+          D(r, s) = 5 + (r - 1) * (6 * S(s) + 5 * (q - 1) * S(p)
+                                   * (p - 1)^(s - 2)).
+
+    So 2 -> 1 -> 2 -> 2 -> 2 costs 16, 3 -> 1 -> 3 -> 3 -> 3 costs 161 and
+    5 -> 1 -> 5 -> 5 -> 5 costs 437,245.
+    """
+
+    def geometric(n: int) -> int:  # S(n)
+        return sum((p - 1) ** i for i in range(n - 1))
+
+    if s == 1:
+        return 5 + 5 * (q - 1) * geometric(r)
+    rest = 5 * (q - 1) * geometric(p) * (p - 1) ** (s - 2)
+    return 5 + (r - 1) * (6 * geometric(s) + rest)
+
+
+def conway_p1qrs_prim_cost(p: int, q: int, r: int, s: int) -> int:
+    """The steps ``conway_prim((p, 1, q, r, s))`` charges, for p >= 2 and
+    q, r, s >= 1, counted as in :func:`conway_prim_cost`; every value it
+    builds is p.
+
+    The front end reduces the reversed chain s, r, q, 1, p to q' = s - 1,
+    p' = r - 1 and the tail (q - 1, 0, p - 1): 5 steps.  ``foldr aux
+    cpow`` applies ``aux`` three times; the middle carrier k = ``aux 0 (aux
+    (p - 1) cpow)`` is p -> 1 -> (x + 1) -> (y + 1) at (y, x), and the
+    outer one is entered at (q', p') and applies ``layer`` q' times: 3 + 1
+    + q' steps.  A call k(y, x) costs what :func:`conway_p1qr_prim_cost`
+    counts for its chain, less its front end (4) and its two ``aux`` (2):
+    6 + y + x * A(y - 1), where A(j) = (p - 1)^(j + 1) + 5 * sum((p -
+    1)^i, i = 0 .. j) and A(-1) = 1.
+
+    Write K(j, x) for the cost of entering the outer carrier's level-j
+    function at x.  Level 0 is ``flip_base`` calling k(x, q - 1): K(0, x)
+    = 7 + x + (q - 1) * A(x - 1).  A level-j >= 1 function is entered
+    once and starts from k(0, q - 1) = p at 5 + q steps; it then applies
+    its level j - 1 at p - 1, x times: K(j, x) = 6 + q + x * B(j - 1),
+    where B(j) = K(j, p - 1), so B(0) = 6 + p + (q - 1) * A(p - 2) and
+    B(j) = 6 + q + (p - 1) * B(j - 1):
+
+        B(j) = (p - 1)^j * B(0) + (6 + q) * sum((p - 1)^i, i = 0 .. j - 1).
+
+    The steps are 5 + 4 + (s - 1) + K(s - 1, r - 1): 15 + r + (q - 1) *
+    A(r - 2) when s = 1, and 14 + q + s + (r - 1) * B(s - 2) when s >= 2,
+    so 14 + q + s whenever r = 1.  So 2 -> 1 -> 2 -> 2 -> 2 costs 32,
+    3 -> 1 -> 3 -> 3 -> 3 costs 226 and 5 -> 1 -> 5 -> 5 -> 5 costs
+    701,108.
+    """
+
+    def a(j: int) -> int:  # A(j)
+        return (p - 1) ** (j + 1) + 5 * sum((p - 1) ** i for i in range(j + 1))
+
+    if s == 1:
+        return 15 + r + (q - 1) * a(r - 2)
+    j = s - 2
+    b0 = 6 + p + (q - 1) * a(p - 2)
+    b = (p - 1) ** j * b0 + (6 + q) * sum((p - 1) ** i for i in range(j))
+    return 14 + q + s + (r - 1) * b
+
+
 def conway_2222r_ref_cost(r: int) -> int:
     """The steps ``conway_ref((2, 2, 2, 2, r))`` takes, one per rule, for
     r >= 1, counted as in :func:`conway_ref_cost`; every value is 4.
@@ -736,6 +821,22 @@ def pow_cost(exponent: int) -> int:
     return exponent.bit_length() - 1 + exponent.bit_count()
 
 
+def machine_run(machine, *args, steps0=0):
+    """A production machine run as the reference evaluators run it:
+    ``machine(*args, steps0, peak)``, where ``args`` are the machine's
+    inputs (a chain as one tuple), then ``max_steps, max_digits``.  The
+    machines take their inputs under the evaluators' input rule
+    (``hyperops._take_inputs``): the peak is the largest input, and one at
+    or over the cap is the literal machines' own over-cap tuple
+    ``(TRIP_MAGNITUDE, 0, steps0, peak)``, before any rule runs."""
+    *inputs, max_steps, max_digits = args
+    values = [v for x in inputs for v in (x if isinstance(x, tuple) else (x,))]
+    peak = max(values, default=0)
+    if reaches_cap(peak, max_digits):
+        return (TRIP_MAGNITUDE, 0, steps0, peak)
+    return machine(*args, steps0, peak)
+
+
 def conway_literal_machine(entries, max_steps, mag_limit, steps0=0):
     """The Conway rewrite machine with a frame per general-rule firing and a
     magnitude check after every power.  The status-tuple protocol of the
@@ -801,9 +902,7 @@ def ack_literal_prim(m: int, n: int, meter: Meter) -> int:
     """``foldn (\\f -> foldn f (f 1)) (+1) m n`` with every increment its own
     closure entry.  Same evaluator signature as ``eval_ack_prim``; run it
     with ``run_budgeted``."""
-    m = _require_natural("m", m, meter)
-    n = _require_natural("n", n, meter)
-    meter.note(max(m, n))
+    _take_inputs(meter, (("m", m), ("n", n)))
     _ensure_depth(m, meter)
 
     def succ(x: int) -> int:
@@ -829,10 +928,7 @@ def knuth_literal_prim(a: int, n: int, b: int, meter: Meter) -> int:
     """``foldn (\\f -> foldn f 1) (a*) n b`` with every multiply its own
     closure entry.  Same evaluator signature as ``eval_knuth_prim``; run it
     with ``run_budgeted``."""
-    a = _require_natural("a", a, meter)
-    n = _require_natural("n", n, meter)
-    b = _require_natural("b", b, meter)
-    meter.note(max(a, n, b))
+    _take_inputs(meter, (("a", a), ("n", n), ("b", b)))
     _ensure_depth(n, meter)
 
     def times_a(x: int) -> int:

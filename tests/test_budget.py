@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import math
 import random
@@ -12,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import _oracles
-from hyperfold import budget, cli
+from hyperfold import _machines, budget, cli
 from hyperfold._machines import ack_machine, conway_machine, knuth_machine
 from hyperfold.budget import (
     OK,
@@ -187,13 +188,13 @@ def test_digit_cap_trips_exactly_at_the_power_of_ten(span):
                 meter.note(v)
             assert meter.peak == v
             steps = 10**9
-            assert ack_machine(0, v, steps, d) == _oracles.ack_literal_machine(
-                0, v, steps, limit
+            assert _oracles.machine_run(ack_machine, 0, v, steps, d) == (
+                _oracles.ack_literal_machine(0, v, steps, limit)
             ), (d, v)
-            assert knuth_machine(v, 0, 1, steps, d) == (
+            assert _oracles.machine_run(knuth_machine, v, 0, 1, steps, d) == (
                 _oracles.knuth_literal_machine(v, 0, 1, steps, limit)
             ), (d, v)
-            assert conway_machine((v,), steps, d) == (
+            assert _oracles.machine_run(conway_machine, (v,), steps, d) == (
                 _oracles.conway_literal_machine((v,), steps, limit)
             ), (d, v)
         bits = limit.bit_length()  # the first power of two past the cap
@@ -435,6 +436,20 @@ def test_add_run_matches_plain_loop():
     assert cases == 45_900
 
 
+def test_every_counted_run_ends_in_the_one_contract():
+    # a counted run is called with the meter's steps and peak, never its
+    # own defaults: the caller has taken the inputs into the peak
+    runs = [ack_machine, knuth_machine, conway_machine, _machines._tower]
+    runs += [_machines._level1_run, pow_counted, mul_run, add_run]
+    for run in runs:
+        params = list(inspect.signature(run).parameters.values())[-4:]
+        assert [param.name for param in params] == [
+            "max_steps", "max_digits", "steps", "peak"
+        ], run.__name__
+        empty = inspect.Parameter.empty
+        assert all(p.default is empty for p in params), run.__name__
+
+
 def test_runs_below_the_cap_build_no_power_of_ten():
     # the cap's power, 10**100000 (41 KB) at the default cap, is built only
     # for a value within a couple of bits of it, not on every call
@@ -443,8 +458,10 @@ def test_runs_below_the_cap_build_no_power_of_ten():
         for val in (0, 1, 9_999):
             want = (OK, val + 1000, 1000, val + 1000)
             assert add_run(val, 1000, 10**9, max_digits, 0, val) == want
-    assert ack_machine(2, 10**6, 10**13, 10**5)[:2] == (OK, 2 * 10**6 + 3)
-    assert ack_machine(3, 10, 10**9, 10**5)[:2] == (OK, 2**13 - 3)
+    got = _oracles.machine_run(ack_machine, 2, 10**6, 10**13, 10**5)
+    assert got[:2] == (OK, 2 * 10**6 + 3)
+    got = _oracles.machine_run(ack_machine, 3, 10, 10**9, 10**5)
+    assert got[:2] == (OK, 2**13 - 3)
     assert budget._pow10.cache_info() == before
 
 

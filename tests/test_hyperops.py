@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _oracles
-from hyperfold import _machines
+from hyperfold import _machines, hyperops
 from hyperfold._machines import ack_machine, conway_machine, knuth_machine
 from hyperfold.budget import (
     Budget,
@@ -54,7 +54,9 @@ def test_ack_machine_matches_literal_grid(steps0):
             for max_digits in ACK_GRID_DIGITS:
                 mag = 10**max_digits
                 want = _oracles.ack_literal_machine(m, n, max_steps, mag, steps0)
-                got = ack_machine(m, n, max_steps, max_digits, steps0)
+                got = _oracles.machine_run(
+                    ack_machine, m, n, max_steps, max_digits, steps0=steps0
+                )
                 case = (m, n, max_steps, max_digits, steps0)
                 assert got == want, case
                 if got[0] == 0 and steps0 == 0:
@@ -76,7 +78,7 @@ def test_ack_machine_matches_literal_at_every_budget():
         budgets |= {total - 1, total, total + 1} - {0}
         for max_steps in sorted(budgets):
             want = _oracles.ack_literal_machine(m, n, max_steps, mag)
-            got = ack_machine(m, n, max_steps, max_digits)
+            got = _oracles.machine_run(ack_machine, m, n, max_steps, max_digits)
             assert got == want, (m, n, max_steps, max_digits)
             cases += 1
     assert cases == 15_717
@@ -93,7 +95,8 @@ def test_ack_machine_matches_literal_at_every_budget():
 def test_ack_machine_matches_literal_sampled(m, n, max_steps, max_digits, steps0):
     mag = 10**max_digits
     want = _oracles.ack_literal_machine(m, n, max_steps, mag, steps0)
-    assert ack_machine(m, n, max_steps, max_digits, steps0) == want
+    got = _oracles.machine_run(ack_machine, m, n, max_steps, max_digits, steps0=steps0)
+    assert got == want
 
 
 def test_ack_ref_accounts_every_equation_application():
@@ -103,7 +106,9 @@ def test_ack_ref_accounts_every_equation_application():
     for m in range(4):
         for n in range(7):
             literal = _oracles.ack_literal_machine(m, n, B.max_steps, mag)
-            shortcut = ack_machine(m, n, B.max_steps, B.max_digits)
+            shortcut = _oracles.machine_run(
+                ack_machine, m, n, B.max_steps, B.max_digits
+            )
             assert shortcut == literal, (m, n)
             assert shortcut[2] == _oracles.count_ack_steps(m, n)
 
@@ -148,7 +153,7 @@ def test_ack_machine_budget_trips_match_literal():
     exact = _oracles.count_ack_steps(3, 3)
     for max_steps in (1, 2, 10, 100, exact - 1, exact, exact + 1):
         literal = _oracles.ack_literal_machine(3, 3, max_steps, mag)
-        shortcut = ack_machine(3, 3, max_steps, 10)
+        shortcut = _oracles.machine_run(ack_machine, 3, 3, max_steps, 10)
         # value/status and reported steps agree even on mid-run trips
         assert shortcut[0] == literal[0], max_steps
         assert shortcut[2] == literal[2], max_steps
@@ -160,7 +165,7 @@ def test_ack_magnitude_trip_decision_matches_literal():
     # ack(2, 60) = 123: three digits, so a 2-digit cap must trip both
     mag = 10**2
     literal = _oracles.ack_literal_machine(2, 60, 10**7, mag)
-    shortcut = ack_machine(2, 60, 10**7, 2)
+    shortcut = _oracles.machine_run(ack_machine, 2, 60, 10**7, 2)
     assert literal[0] == shortcut[0] == 2
 
 
@@ -202,7 +207,7 @@ def test_ack_machine_matches_literal_at_high_levels():
         for max_steps in ACK_GRID_STEPS[:-2]:
             for max_digits in (1, 3, 100):
                 want = _oracles.ack_literal_machine(m, n, max_steps, 10**max_digits)
-                got = ack_machine(m, n, max_steps, max_digits)
+                got = _oracles.machine_run(ack_machine, m, n, max_steps, max_digits)
                 assert got == want, (m, n, max_steps, max_digits)
 
 
@@ -447,7 +452,9 @@ def test_knuth_machine_matches_literal_grid(steps0):
             for max_digits in KNUTH_GRID_DIGITS:
                 mag = 10**max_digits
                 want = _oracles.knuth_literal_machine(a, n, b, max_steps, mag, steps0)
-                got = knuth_machine(a, n, b, max_steps, max_digits, steps0)
+                got = _oracles.machine_run(
+                    knuth_machine, a, n, b, max_steps, max_digits, steps0=steps0
+                )
                 assert got == want, (a, n, b, max_steps, max_digits, steps0)
 
 
@@ -458,7 +465,9 @@ def test_knuth_machine_at_a_one_matches_literal():
             for max_digits, steps0 in ((1, 1), (1, 7), (2, 40)):
                 mag = 10**max_digits
                 want = _oracles.knuth_literal_machine(1, n, b, max_steps, mag, steps0)
-                got = knuth_machine(1, n, b, max_steps, max_digits, steps0)
+                got = _oracles.machine_run(
+                    knuth_machine, 1, n, b, max_steps, max_digits, steps0=steps0
+                )
                 assert got == want, (n, b, max_steps, max_digits, steps0)
 
 
@@ -491,7 +500,10 @@ _knuth_entry = st.one_of(st.integers(0, 12), st.integers(0, 10**6))
 def test_knuth_machine_matches_literal_sampled(a, n, b, max_steps, max_digits, steps0):
     mag = 10**max_digits
     want = _oracles.knuth_literal_machine(a, n, b, max_steps, mag, steps0)
-    assert knuth_machine(a, n, b, max_steps, max_digits, steps0) == want
+    got = _oracles.machine_run(
+        knuth_machine, a, n, b, max_steps, max_digits, steps0=steps0
+    )
+    assert got == want
 
 
 @pytest.mark.parametrize(
@@ -652,7 +664,9 @@ def test_conway_machine_matches_literal_grid(steps0):
             for max_digits in KNUTH_GRID_DIGITS:
                 mag = 10**max_digits
                 args = (chain, max_steps, mag, steps0)
-                got = conway_machine(chain, max_steps, max_digits, steps0)
+                got = _oracles.machine_run(
+                    conway_machine, chain, max_steps, max_digits, steps0=steps0
+                )
                 assert got == _oracles.conway_literal_machine(*args), (
                     chain, max_steps, max_digits, steps0
                 )
@@ -667,7 +681,9 @@ def test_conway_machine_matches_literal_grid(steps0):
 )
 def test_conway_machine_matches_literal_sampled(chain, max_steps, max_digits, steps0):
     args = (tuple(chain), max_steps, 10**max_digits, steps0)
-    got = conway_machine(tuple(chain), max_steps, max_digits, steps0)
+    got = _oracles.machine_run(
+        conway_machine, tuple(chain), max_steps, max_digits, steps0=steps0
+    )
     assert got == _oracles.conway_literal_machine(*args)
 
 
@@ -680,7 +696,7 @@ def test_conway_machine_matches_literal_sampled(chain, max_steps, max_digits, st
 def test_conway_machine_matches_literal_at_benchmark_budgets(chain, max_steps):
     # the budgets of the benchmark's reference trips, where the stack holds
     # long runs and, for 7->69->3000000, a growing line of them
-    got = conway_machine(chain, max_steps, B.max_digits)
+    got = _oracles.machine_run(conway_machine, chain, max_steps, B.max_digits)
     assert got == _oracles.conway_literal_machine(chain, max_steps, 10**B.max_digits)
 
 
@@ -724,6 +740,25 @@ def test_families_agree_on_input_trips(ref, prim, inputs):
             assert trip.value.stats == want, (run.__name__, order)
 
 
+def test_reference_evaluators_trip_over_cap_inputs_before_any_machine(monkeypatch):
+    # the evaluator's prologue takes the inputs, so a machine is only ever
+    # called with a peak below the cap
+    def never(*args):
+        raise AssertionError("a machine ran on over-cap inputs")
+
+    for name in ("ack_machine", "knuth_machine", "conway_machine"):
+        monkeypatch.setattr(hyperops, name, never)
+    budget = Budget(max_digits=3)
+    for run, args in (
+        (ack_ref, (1000, 50_000)),
+        (knuth_ref, (7, 1000, 50_000)),
+        (conway_ref, ((7, 1000, 50_000),)),
+    ):
+        with pytest.raises(MagnitudeExceeded) as trip:
+            run(*args, budget)
+        assert trip.value.stats == EvalStats(0, 5), run.__name__
+
+
 def test_back_end_inputs_enter_the_peak_as_their_maximum():
     # cback_prim and cpow take their inputs as one maximum too, and the
     # back end validates its whole tail before it notes any of it
@@ -739,6 +774,17 @@ def test_back_end_inputs_enter_the_peak_as_their_maximum():
     with pytest.raises(DomainError) as invalid:
         cback_prim((5000, -1), 3, 4, budget)
     assert invalid.value.stats == EvalStats(steps_used=0, peak_digits=1)
+
+
+def test_back_end_checks_q_and_p_before_it_reads_the_tail():
+    # the prologue reads its inputs in order, so an invalid q or p is
+    # reported even when the tail could not be read at all
+    for q, p, name in ((-1, 0, "q"), (0, True, "p")):
+        with pytest.raises(DomainError, match=f"^{name} must be") as invalid:
+            cback_prim(None, q, p, B)
+        assert invalid.value.stats == EvalStats(steps_used=0, peak_digits=1)
+    with pytest.raises(TypeError):
+        cback_prim(None, 0, 0, B)
 
 
 def test_conway_rejects_zero_entries():
@@ -960,6 +1006,37 @@ def test_conway_p_1_q_r_costs_exactly_the_formula(run, cost, large, first):
         with pytest.raises(BudgetExceeded) as trip:
             run(chain, Budget(max_steps=c - 1))
         assert trip.value.stats.steps_used == c - 1, chain
+
+
+@pytest.mark.parametrize(
+    "run, cost, pins",
+    [
+        (conway_ref, _oracles.conway_p1qrs_ref_cost, [16, 22, 27, 26, 76, 161, 10]),
+        (conway_prim, _oracles.conway_p1qrs_prim_cost, [32, 41, 46, 46, 120, 226, 23]),
+    ],
+    ids=["ref", "prim"],
+)
+def test_conway_p_1_q_r_s_costs_exactly_the_formula(run, cost, pins):
+    # p->1->q->r->s = p at exactly C steps, and a budget of C - 1 trips
+    # there: every 2 <= p <= 4 with q, r, s <= 5, and 5->1->5->5->5
+    # (437,245 rules, 701,108 fold steps); ``pins`` holds the costs at
+    # 2->1->2->2->2, 2->1->2->2->3, 2->1->2->3->2, 3->1->2->2->2,
+    # 4->1->2->2->2, 3->1->3->3->3 and 2->1->2->2->1
+    points = [(2, 2, 2, 2), (2, 2, 2, 3), (2, 2, 3, 2), (3, 2, 2, 2)]
+    points += [(4, 2, 2, 2), (3, 3, 3, 3), (2, 2, 2, 1)]
+    assert [cost(*point) for point in points] == pins
+    cases = list(itertools.product(range(2, 5), range(1, 6), range(1, 6), range(1, 6)))
+    for p, q, r, s in cases + [(5, 5, 5, 5)]:
+        c = cost(p, q, r, s)
+        chain = (p, 1, q, r, s)
+        assert run(chain, Budget(max_steps=c)) == (
+            p,
+            EvalStats(steps_used=c, peak_digits=1),
+        ), chain
+        with pytest.raises(BudgetExceeded) as trip:
+            run(chain, Budget(max_steps=c - 1))
+        assert trip.value.stats.steps_used == c - 1, chain
+    assert cost(5, 5, 5, 5) == (437_245 if run is conway_ref else 701_108)
 
 
 @pytest.mark.parametrize(
