@@ -31,10 +31,12 @@ Each function of the hierarchy is implemented twice:
   ``eval_conway_prim`` is the front end and hands its reduced chain to
   ``eval_cback_prim``.
 
-Every evaluator of both families starts with one prologue,
-:func:`_take_inputs` (:func:`_checked_chain` for a chain): it validates
-each input in order, then notes their maximum once, before any machine or
-fold runs, so the machines take their inputs as given.
+Every value an evaluation takes in goes through one prologue,
+:func:`_take_inputs`: a call's arguments and a chain's entries at the start
+of every evaluator of both families, and each literal of a tree as
+:mod:`hyperfold.notation`'s walk reaches it.  It validates each input in
+order, then notes their maximum once, before any machine or fold runs, so
+the machines take their inputs as given.
 
 The two families agree pointwise on every input where both finish within
 budget; that agreement is this package's reason to exist, and the property
@@ -78,17 +80,23 @@ CLOSURE_DEPTH_LIMIT = 1200
 _RECURSION_CEILING = 12000
 
 
-def _take_inputs(meter: Meter, inputs: Iterable[tuple[str, int]]) -> list[int]:
-    """Take a call's inputs, the prologue of every evaluator in both
-    families, and return their values.  Each ``(name, value)`` pair, read
-    in order, must be a non-negative integer; then their maximum enters
-    the peak, once, before any machine or fold runs."""
+def _take_inputs(
+    meter: Meter, inputs: Iterable[tuple[str, int]], *, least: int = 0
+) -> list[int]:
+    """Take an evaluation's inputs and return their values.  Each ``(name,
+    value)`` pair, read in order, must be an integer of at least ``least``,
+    else a :class:`DomainError` names the input, the bound and the value;
+    then their maximum enters the peak, once, before any machine or fold
+    runs."""
     values = []
     for name, value in inputs:
-        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-            raise DomainError(f"{name} must be a non-negative integer", meter.stats())
+        if not isinstance(value, int) or isinstance(value, bool) or value < least:
+            raise DomainError(
+                f"{name} must be an integer >= {least}, got {value_text(value)}",
+                meter.stats(),
+            )
         values.append(value)
-    meter.note(max(values))
+    meter.note(max(values, default=0))
     return values
 
 
@@ -171,25 +179,13 @@ def eval_knuth_prim(a: int, n: int, b: int, meter: Meter) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _checked_chain(entries: Sequence[int], meter: Meter) -> Chain:
-    chain = tuple(entries)
-    for e in chain:
-        if not isinstance(e, int) or isinstance(e, bool) or e < 1:
-            raise DomainError(
-                f"chain entries must be integers >= 1, got {value_text(e)}",
-                meter.stats(),
-            )
-    meter.note(max(chain, default=0))
-    return chain
-
-
 def eval_conway_ref(entries: Sequence[int], meter: Meter) -> int:
-    chain = _checked_chain(entries, meter)
+    chain = _take_inputs(meter, (("chain entry", e) for e in entries), least=1)
     return meter.run(conway_machine, chain)
 
 
 def eval_conway_prim(entries: Sequence[int], meter: Meter) -> int:
-    chain = _checked_chain(entries, meter)
+    chain = _take_inputs(meter, (("chain entry", e) for e in entries), least=1)
     # front end: trivial lengths, then reverse, reduce every entry by one,
     # and hand (tail, q, p) to the fold-built back end
     if len(chain) < 2:  # one fold application yields the chain's value
@@ -294,7 +290,7 @@ def run_budgeted(fn, *args, budget: Budget):
         raise ConstructionLimit(
             "evaluation exceeded the safe nesting depth", meter.stats()
         ) from None
-    except MemoryError:
+    except (MemoryError, OverflowError):  # either way, an int too large to build
         pass  # raised below, once the traceback and the ints it holds are freed
     else:
         return value, meter.stats()

@@ -32,6 +32,7 @@ from .budget import (
 )
 from .hyperops import (
     DEFAULT_BUDGET,
+    _take_inputs,
     eval_ack_prim,
     eval_ack_ref,
     eval_conway_prim,
@@ -348,8 +349,7 @@ def render(e: Expr) -> str:
 def _eval_node(e: Expr, prim: bool, meter: Meter) -> int:
     match e:
         case NatLit(value):
-            meter.note(value)
-            return value
+            return _take_inputs(meter, (("literal", value),))[0]
         case Ack(m, n):
             mv = _eval_node(m, prim, meter)
             nv = _eval_node(n, prim, meter)

@@ -13,7 +13,8 @@ chain of three entries, ``conway_22qr_ref_cost`` and
 ``conway_22qr_prim_cost`` on the chains 2 -> 2 -> q -> r,
 ``conway_p1qr_ref_cost`` and ``conway_p1qr_prim_cost`` on p -> 1 -> q -> r,
 ``conway_p1qrs_ref_cost`` and ``conway_p1qrs_prim_cost`` on p -> 1 -> q ->
-r -> s,
+r -> s, ``conway_22qrs_ref_cost`` and ``conway_22qrs_prim_cost`` on 2 -> 2
+-> q -> r -> s,
 ``pow_cost`` the
 multiplies of a counted power,
 and ``ack_literal_machine``,
@@ -681,6 +682,78 @@ def conway_2222r_prim_cost(r: int) -> int:
     if r == 1:
         return 36
     return 203 * 3 ** (r - 2) + r + 14
+
+
+def conway_22qrs_ref_cost(q: int, r: int, s: int) -> int:
+    """The steps ``conway_ref((2, 2, q, r, s))`` takes, one per rule, for
+    q, r, s >= 1, counted as in :func:`conway_ref_cost`; every value is 4.
+
+    Write E(r, s) for the cost at 2 -> 2 -> q -> r -> s and C(q, r) for
+    :func:`conway_22qr_ref_cost`.
+
+    * s = 1: the last entry 1 is dropped, one rule: E(r, 1) = 1 + C(q, r).
+    * r = 1: 2 -> 2 -> q -> 1 -> s collapses past its 1 to 2 -> 2 -> q ->
+      1, which drops its 1, and 2 -> 2 -> q costs 4q: E(1, s) = 4q + 2.
+    * r, s >= 2: the general rule fires r - 1 times and leaves r - 1
+      continuations 2 -> 2 -> q -> _ -> (s - 1); then 2 -> 2 -> q -> 1 ->
+      s costs 4q + 2, and each continuation resumes at 2 -> 2 -> q -> 4 ->
+      (s - 1):
+
+          E(r, s) = (r - 1) + 4q + 2 + (r - 1) * E(4, s - 1),
+
+      which r = 1 meets too.
+
+    E(4, t) = 4q + 5 + 3 * E(4, t - 1) from E(4, 1) = 1 + C(q, 4) = 186q
+    - 180, so 2 * E(4, t) + 4q + 5 = (376q - 355) * 3^(t-1), and for s >= 2
+
+        E(r, s) = 4q + 2 + (r - 1) * ((376q - 355) * 3^(s-2) - 4q - 3) / 2.
+
+    At q = r = 2 this is (397 * 3^(s-2) + 9) / 2, and at s = 1 it is
+    1 + C(2, 2) = 24: :func:`conway_2222r_ref_cost`.  For fixed r and s it
+    is linear in q: 2 -> 2 -> q -> 2 -> 2 costs 190q - 177.
+    """
+    if s == 1:
+        return 1 + conway_22qr_ref_cost(q, r)
+    return 4 * q + 2 + (r - 1) * ((376 * q - 355) * 3 ** (s - 2) - 4 * q - 3) // 2
+
+
+def conway_22qrs_prim_cost(q: int, r: int, s: int) -> int:
+    """The steps ``conway_prim((2, 2, q, r, s))`` charges, for q, r, s >= 1,
+    counted as in :func:`conway_prim_cost`; every value is 4.
+
+    The front end reduces the reversed chain s, r, q, 2, 2 to q' = s - 1,
+    p' = r - 1 and the tail (q - 1, 1, 1): 5 steps.  ``foldr aux cpow``
+    applies ``aux`` three times; the middle carrier k = ``aux 1 (aux 1
+    cpow)`` is 2 -> 2 -> (x + 1) -> (y + 1) at (y, x), and the outer one,
+    ``aux (q - 1) k``, is entered at (q', p') and applies ``layer`` q'
+    times: 3 + 1 + q' steps.  A call k(y, x) costs 7x * 3^y - 3x + y + 7,
+    as :func:`conway_2222r_prim_cost` counts it.
+
+    Write K(j, x) for the cost of entering the outer carrier's level-j
+    function at x.  Level 0 is ``flip_base`` calling k(x, q - 1): K(0, x) =
+    1 + 7(q - 1) * 3^x - 3(q - 1) + x + 7 = 7(q - 1) * 3^x - 3q + x + 11.
+    A level-j >= 1 function is entered once and starts from k(0, q - 1) =
+    4 at 4q + 3 steps; it then applies its level j - 1 at 4 - 1 = 3, x
+    times:
+
+        K(j, x) = 4q + 4 + x * B(j - 1),   where B(j) = K(j, 3).
+
+    B(0) = 186q - 175 and B(j) + 2q + 2 = 3 * (B(j - 1) + 2q + 2), so B(j)
+    = (188q - 173) * 3^j - 2q - 2.  The steps are 5 + 4 + (s - 1) + K(s -
+    1, r - 1): at s = 1, 9 + K(0, r - 1) = 7(q - 1) * 3^(r-1) - 3q + r +
+    19, four more than :func:`conway_22qr_prim_cost` counts for 2 -> 2 ->
+    q -> r (one entry, one ``aux``, one carrier entry and one
+    ``flip_base``), and for s >= 2
+
+        12 + 4q + s + (r - 1) * ((188q - 173) * 3^(s-2) - 2q - 2).
+
+    At q = r = 2 this is 203 * 3^(s-2) + s + 14, and at s = 1 it is 36:
+    :func:`conway_2222r_prim_cost`.  2 -> 2 -> q -> 2 -> 2 costs 190q -
+    161.
+    """
+    if s == 1:
+        return 7 * (q - 1) * 3 ** (r - 1) - 3 * q + r + 19
+    return 12 + 4 * q + s + (r - 1) * ((188 * q - 173) * 3 ** (s - 2) - 2 * q - 2)
 
 
 def first_power_reaching(val, a, mag_limit):

@@ -648,7 +648,7 @@ huge = "1" + "0" * 5000  # 10**5000
 trip = f"value exceeds {huge} digits (max_digits={huge})"
 probes = [
     (lambda: conway_ref([-(10**5000)]), "DomainError",
-     "chain entries must be integers >= 1, got -" + huge),
+     "chain entry must be an integer >= 1, got -" + huge),
     (lambda: conway_ref([2, 10**6000], Budget(max_digits=10**5000)),
      "MagnitudeExceeded", trip),
     (lambda: evaluate(parse("2->" + "9" * 6000), "both", Budget(max_digits=10**5000)),

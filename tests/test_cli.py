@@ -435,6 +435,29 @@ def test_evaluation_out_of_memory_is_a_construction_limit(
     )
 
 
+@pytest.mark.parametrize(
+    "max_digits, text",
+    [(320, "knuth(3,1,{})"), (322, "2^{}"), (322, "2->{}")],
+    ids=["knuth", "power", "chain"],
+)
+def test_a_value_too_large_for_an_int_exits_4(max_digits, text):
+    # under a cap raised this far, every outcome needs an int of more than
+    # 10**288 bits, which CPython refuses with OverflowError; it ends as
+    # running out of memory does, never as a traceback
+    proc = run_cli(
+        "--max-steps",
+        "1" + "0" * 330,
+        "--max-digits",
+        "1" + "0" * max_digits,
+        "eval",
+        text.format("1" + "0" * 321),
+    )
+    assert (proc.returncode, proc.stdout) == (cli.EXIT_DOMAIN, "")
+    assert proc.stderr == (
+        "construction: evaluation ran out of memory\nsteps=0 peak_digits=322\n"
+    )
+
+
 def test_out_of_memory_inside_the_split_rendering_is_a_construction_limit(
     monkeypatch,
 ):

@@ -1063,6 +1063,59 @@ def test_conway_2_2_2_2_r_costs_exactly_the_formula(run, cost, first):
         assert trip.value.stats.steps_used == c - 1, chain
 
 
+@pytest.mark.parametrize(
+    "run, cost, line, pins",
+    [
+        (
+            conway_ref,
+            _oracles.conway_22qrs_ref_cost,
+            lambda q: 190 * q - 177,
+            [13, 203, 570, 1_126, 2_318, 82_326],
+        ),
+        (
+            conway_prim,
+            _oracles.conway_22qrs_prim_cost,
+            lambda q: 190 * q - 161,
+            [29, 219, 585, 1_625, 2_357, 82_825],
+        ),
+    ],
+    ids=["ref", "prim"],
+)
+def test_conway_2_2_q_r_s_costs_exactly_the_formula(run, cost, line, pins):
+    # 2->2->q->r->s = 4 at exactly C steps, and a budget of C - 1 trips
+    # there: every q, r, s <= 5, and four far chains; ``pins`` holds the
+    # costs at (q, r, s) = (1, 2, 2), (2, 2, 2), (2, 5, 1), (1, 5, 5),
+    # (3, 3, 3) and (5, 5, 5).  In the reference form the dropped last 1
+    # costs one rule more than 2->2->q->r, and q = r = 2 is 2->2->2->2->s
+    points = [(1, 2, 2), (2, 2, 2), (2, 5, 1), (1, 5, 5), (3, 3, 3), (5, 5, 5)]
+    assert [cost(*point) for point in points] == pins
+    far = {
+        (1000, 2, 2): (189_823, 189_839),
+        (1000, 3, 2): (375_644, 375_664),
+        (300, 2, 3): (169_268, 169_294),
+        (6, 6, 6): (384_911, 386_747),
+    }
+    reference = run is conway_ref
+    for q, r, s in [*itertools.product(range(1, 6), repeat=3), *far]:
+        c = cost(q, r, s)
+        if (q, r, s) in far:
+            assert c == far[q, r, s][0 if reference else 1]
+        if r == s == 2:
+            assert c == line(q), q
+        if reference and s == 1:
+            assert c == _oracles.conway_22qr_ref_cost(q, r) + 1
+        if reference and q == r == 2:
+            assert c == _oracles.conway_2222r_ref_cost(s)
+        chain = (2, 2, q, r, s)
+        assert run(chain, Budget(max_steps=c)) == (
+            4,
+            EvalStats(steps_used=c, peak_digits=len(str(max(q, r, s, 4)))),
+        ), chain
+        with pytest.raises(BudgetExceeded) as trip:
+            run(chain, Budget(max_steps=c - 1))
+        assert trip.value.stats.steps_used == c - 1, chain
+
+
 def test_ack_magnitude_trip_point_follows_the_value_formula():
     # A(3, n) = 2^(n+3) - 3, and A(4, 1) = A(3, 13), is the largest value
     # held, so a cap of its digit count finishes and one digit lower trips
@@ -1237,6 +1290,27 @@ def test_unbounded_nesting_is_a_construction_limit():
     assert trip.value.stats.steps_used > 0
     assert trip.value.__suppress_context__
     assert isinstance(trip.value.__context__, RecursionError)
+
+
+def test_a_value_too_large_for_an_int_is_a_construction_limit():
+    # each outcome needs an int of more than 10**288 bits, and CPython
+    # refuses one at once with OverflowError: the float estimate of a
+    # multiply run's trip point (Knuth), or the shift of a power of two
+    # (power, Conway); either ends as running out of memory does
+    huge = 10**321
+    cases = [
+        (knuth_ref, (3, 1, huge), 10**320, 0),
+        (knuth_prim, (3, 1, huge), 10**320, 2),
+        (cpow, (huge, 1), 10**322, 0),
+        (conway_ref, ((2, huge),), 10**322, 0),
+        (conway_prim, ((2, huge),), 10**322, 3),
+    ]
+    for run, args, max_digits, steps in cases:
+        with pytest.raises(ConstructionLimit) as limit:
+            run(*args, Budget(10**330, max_digits))
+        assert limit.value.detail == "evaluation ran out of memory"
+        assert limit.value.stats == EvalStats(steps, 322), run
+        assert limit.value.__context__ is None
 
 
 def test_cback_longer_tails_match_front_end_reduction():

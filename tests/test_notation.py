@@ -1,4 +1,5 @@
 import decimal
+import re
 import sys
 import tracemalloc
 
@@ -11,11 +12,25 @@ from hyperfold.budget import (
     Budget,
     BudgetExceeded,
     DomainError,
+    EvalStats,
     HyperError,
+    MagnitudeExceeded,
     int_to_decimal,
+    value_text,
 )
-from hyperfold.hyperops import CLOSURE_DEPTH_LIMIT
+from hyperfold.hyperops import (
+    CLOSURE_DEPTH_LIMIT,
+    ack_prim,
+    ack_ref,
+    cback_prim,
+    conway_prim,
+    conway_ref,
+    cpow,
+    knuth_prim,
+    knuth_ref,
+)
 from hyperfold.notation import (
+    FORMS,
     Ack,
     ChainE,
     ConwayCall,
@@ -376,6 +391,121 @@ def test_evaluate_rejects_non_positive_chain_items():
         evaluate(parse("conway(0)"), "both", B)
     with pytest.raises(DomainError):
         evaluate(parse("0->3"), "reference", B)
+
+
+@pytest.mark.parametrize("form", FORMS)
+def test_a_literal_is_taken_by_the_input_rule(form):
+    # the walk takes each literal as it reaches it, by the rule every
+    # evaluator's arguments follow: anything but an int >= 0 is a domain
+    # error before any step, and a literal past the cap trips before the
+    # next one is read
+    for bad, expr in [
+        (-5, NatLit(-5)),
+        (True, NatLit(True)),
+        (2.5, NatLit(2.5)),
+        ("x", NatLit("x")),
+        (2.5, Ack(NatLit(2.5), NatLit(1))),
+    ]:
+        with pytest.raises(DomainError) as invalid:
+            evaluate(expr, form, B)
+        assert invalid.value.detail == f"literal must be an integer >= 0, got {bad!r}"
+        assert invalid.value.stats == EvalStats(0, 1)
+    with pytest.raises(MagnitudeExceeded) as trip:
+        evaluate(Ack(NatLit(1000), NatLit(-1)), form, Budget(max_digits=3))
+    assert trip.value.stats == EvalStats(0, 4)
+
+
+def _allowed(value, least=0) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= least
+
+
+hostile = st.one_of(
+    st.integers(-3, 6),
+    st.integers(10**3, 10**40),
+    st.sampled_from([True, False, 2.0, -0.5, float("nan"), "x", "3", None]),
+)
+small_budgets = st.builds(Budget, st.integers(1, 300), st.integers(1, 6))
+hostile_exprs = st.recursive(
+    st.builds(NatLit, hostile),
+    lambda inner: st.one_of(
+        st.builds(Ack, inner, inner),
+        st.builds(Knuth, inner, inner, inner),
+        st.builds(ChainE, st.lists(inner, min_size=2, max_size=3).map(tuple)),
+        st.builds(ConwayCall, st.lists(inner, max_size=3).map(tuple)),
+    ),
+    max_leaves=6,
+)
+
+
+def _leaves(e) -> list:
+    match e:
+        case NatLit(value):
+            return [value]
+        case Ack(m, n):
+            items = (m, n)
+        case Knuth(a, level, b):
+            items = (a, level, b)
+        case ChainE(items) | ConwayCall(items):
+            pass
+    return [v for item in items for v in _leaves(item)]
+
+
+@settings(max_examples=300)
+@given(st.data(), small_budgets)
+def test_every_input_ends_in_a_value_or_a_typed_error(data, budget):
+    # every public call, and evaluate on trees with any literal, ends in a
+    # value or a HyperError; a call's first input outside the rule is named
+    # with its bound and value before any step or peak, in one format
+    x, y, z = (data.draw(hostile) for _ in range(3))
+    chain = tuple(data.draw(st.lists(hostile, max_size=4)))
+    tail = [("tail entry", e) for e in chain]
+    calls = [
+        (ack_ref, (x, y), [("m", x), ("n", y)]),
+        (ack_prim, (x, y), [("m", x), ("n", y)]),
+        (knuth_ref, (x, y, z), [("a", x), ("n", y), ("b", z)]),
+        (knuth_prim, (x, y, z), [("a", x), ("n", y), ("b", z)]),
+        (cpow, (x, y), [("q", x), ("p", y)]),
+        (cback_prim, (chain, x, y), [("q", x), ("p", y)] + tail),
+        (conway_ref, (chain,), [("chain entry", e) for e in chain]),
+        (conway_prim, (chain,), [("chain entry", e) for e in chain]),
+    ]
+    for run, args, inputs in calls:
+        least = 1 if run in (conway_ref, conway_prim) else 0
+        refused = [(n, v) for n, v in inputs if not _allowed(v, least)]
+        try:
+            run(*args, budget)
+        except DomainError as invalid:
+            name, value = refused[0]
+            assert invalid.detail == (
+                f"{name} must be an integer >= {least}, got {value_text(value)}"
+            )
+            assert invalid.stats == EvalStats(0, 1)
+        except HyperError:
+            assert not refused, run
+        else:
+            assert not refused, run
+    expr = data.draw(hostile_exprs)
+    texts = {value_text(v) for v in _leaves(expr)}
+    for form in FORMS:
+        try:
+            evaluate(expr, form, budget)
+        except DomainError as invalid:
+            what = re.fullmatch(
+                r"(literal must be an integer >= 0|chain entry must be an "
+                r"integer >= 1), got (.+)",
+                invalid.detail,
+            )
+            assert what, invalid.detail
+            assert what[2] in (texts if what[1].startswith("literal") else {"0"})
+        except HyperError:
+            pass
+
+
+def test_a_chain_that_is_not_iterable_is_a_type_error():
+    with pytest.raises(TypeError):
+        conway_ref(None, B)
+    with pytest.raises(TypeError):
+        conway_prim(5, B)
 
 
 def test_evaluate_budget_shared_across_tree():
