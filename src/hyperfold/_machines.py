@@ -6,7 +6,7 @@ arguments are ``max_steps, max_digits, steps, peak`` and it returns a plain
 status tuple ``(status, value, steps, peak_value)``, which ``Meter.run``
 folds back into the meter, turning a trip into its exception.  Under that
 module's counted-run contract its evaluator has taken its inputs in
-(``hyperops._take_inputs``), so no machine checks or notes them.
+(``Meter.take``), so no machine checks or notes them.
 
 The Ackermann and Knuth machines are one loop on ``(level, count)`` runs,
 :func:`_tower`, and the Conway machine keeps its continuation frames as

@@ -12,18 +12,18 @@ owns the charging rules, shared by every evaluator of both families:
 
 ``peak_digits`` is the decimal size of the largest value held at any point
 during the evaluation, inputs included: once all are valid, a call's
-inputs enter it as one maximum, in both families.  The digit cap is decided
-by bit length (:func:`reaches_cap`): ``10**max_digits`` is built only for a
-value within a couple of bits of it, never up front, so a budget costs
-nothing until work is done, whatever its cap.  Digit counts ask the same
-function within one log2(10) bracket on the bit length, so either builds at
-most one power of ten, from one bounded cache, which the decimal parser
-shares.
+inputs enter it as one maximum (:meth:`Meter.take`), in both families and
+in a tree's calls alike.  The digit cap is decided by bit length
+(:func:`reaches_cap`): ``10**max_digits`` is built only for a value within
+a couple of bits of it, never up front, so a budget costs nothing until
+work is done, whatever its cap.  Digit counts ask the same function within
+one log2(10) bracket on the bit length, so either builds at most one power
+of ten, from one bounded cache, which the decimal parser shares.
 
 Two ways to charge, one protocol.  The fold forms charge a :class:`Meter`
 directly: ``spend(1, v)`` charges one generator application and notes the
-value v it yields, in one call, and ``note`` notes a call's inputs, as
-their maximum.  Every counted run, the rewrite machines included, keeps
+value v it yields, in one call, and ``take`` checks a call's inputs, then
+notes their maximum.  Every counted run, the rewrite machines included, keeps
 local counters: it takes ``max_steps, max_digits, steps, peak`` as its last
 four arguments and returns a status tuple ``(status, value, steps,
 peak_value)``, status :data:`OK`, :data:`TRIP_STEPS` or :data:`TRIP_MAGNITUDE`.
@@ -451,9 +451,19 @@ class Meter:
                 raise self._magnitude_trip()
         return value
 
-    def note(self, value: int) -> None:
-        """Raise the peak to ``value``, charging no step."""
-        self.spend(0, value)
+    def take(self, inputs, *, least: int = 0) -> list[int]:
+        """Check each ``(name, value)`` input, in order, as an int >= ``least``
+        (else a :class:`DomainError`), then note their maximum; return them."""
+        values = []
+        for name, value in inputs:
+            if not isinstance(value, int) or isinstance(value, bool) or value < least:
+                raise DomainError(
+                    f"{name} must be an integer >= {least}, got {value_text(value)}",
+                    self.stats(),
+                )
+            values.append(value)
+        self.spend(0, max(values, default=0))
+        return values
 
     def run(self, fn, *args) -> int:
         """``fn(*args, max_steps, max_digits, steps, peak)``, a counted run

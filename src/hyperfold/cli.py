@@ -4,10 +4,11 @@ Exit codes: 0 ok, 1 selftest failure, 2 parse error, 3 budget exhausted
 (steps or digits), 4 domain error or construction limit (too deep a
 nesting, or no memory left to evaluate or render the value), 5
 reference/primitive mismatch, 74 stdout could not take the output (say, a
-full disk, or no stdout at all; one line on stderr says why), 141 stdout
-closed before the output was written (a reader such as ``head`` stopped
-early; nothing more is printed).  Diagnostics on stderr are best effort: a
-stderr that is closed or refuses writes changes no exit code.
+full disk, or no stdout at all) or the REPL could not read stdin (say, one
+opened write-only), and one line on stderr says which, 141 stdout closed
+before the output was written (a reader such as ``head`` stopped early;
+nothing more is printed).  Diagnostics on stderr are best effort: a stderr
+that is closed or refuses writes changes no exit code.
 """
 
 from __future__ import annotations
@@ -155,7 +156,11 @@ def run_repl(config: Config) -> int:
     while True:
         if interactive:
             print("hyperfold> ", end="", flush=True)
-        line = sys.stdin.readline()
+        try:
+            line = sys.stdin.readline()
+        except OSError as exc:  # stdin refused the read (EBADF, EIO, ...)
+            _warn(f"error: cannot read input: {exc}")
+            return EXIT_IOERR
         if not line:
             return EXIT_OK
         line = line.strip()

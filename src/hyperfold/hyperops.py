@@ -31,12 +31,10 @@ Each function of the hierarchy is implemented twice:
   ``eval_conway_prim`` is the front end and hands its reduced chain to
   ``eval_cback_prim``.
 
-Every value an evaluation takes in goes through one prologue,
-:func:`_take_inputs`: a call's arguments and a chain's entries at the start
-of every evaluator of both families, and each literal of a tree as
-:mod:`hyperfold.notation`'s walk reaches it.  It validates each input in
-order, then notes their maximum once, before any machine or fold runs, so
-the machines take their inputs as given.
+Every evaluator of both families opens with one prologue, ``meter.take``:
+it validates the call's arguments or the chain's entries in order, then
+notes their maximum once, before any machine or fold runs, so the machines
+take their inputs as given.
 
 The two families agree pointwise on every input where both finish within
 budget; that agreement is this package's reason to exist, and the property
@@ -51,13 +49,12 @@ from __future__ import annotations
 import contextlib
 import sys
 import threading
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from ._machines import ack_machine, conway_machine, knuth_machine
 from .budget import (
     Budget,
     ConstructionLimit,
-    DomainError,
     Meter,
     mul_run,
     pow_counted,
@@ -78,26 +75,6 @@ CLOSURE_DEPTH_LIMIT = 1200
 #: kept below what an 8 MB C stack comfortably holds; depth overruns then
 #: surface as RecursionError and are converted to ConstructionLimit
 _RECURSION_CEILING = 12000
-
-
-def _take_inputs(
-    meter: Meter, inputs: Iterable[tuple[str, int]], *, least: int = 0
-) -> list[int]:
-    """Take an evaluation's inputs and return their values.  Each ``(name,
-    value)`` pair, read in order, must be an integer of at least ``least``,
-    else a :class:`DomainError` names the input, the bound and the value;
-    then their maximum enters the peak, once, before any machine or fold
-    runs."""
-    values = []
-    for name, value in inputs:
-        if not isinstance(value, int) or isinstance(value, bool) or value < least:
-            raise DomainError(
-                f"{name} must be an integer >= {least}, got {value_text(value)}",
-                meter.stats(),
-            )
-        values.append(value)
-    meter.note(max(values, default=0))
-    return values
 
 
 def _ensure_depth(depth: int, meter: Meter) -> None:
@@ -138,12 +115,12 @@ def _tower(gen, depth, x, meter, start, step=None):
 
 
 def eval_ack_ref(m: int, n: int, meter: Meter) -> int:
-    _take_inputs(meter, (("m", m), ("n", n)))
+    meter.take((("m", m), ("n", n)))
     return meter.run(ack_machine, m, n)
 
 
 def eval_ack_prim(m: int, n: int, meter: Meter) -> int:
-    _take_inputs(meter, (("m", m), ("n", n)))
+    meter.take((("m", m), ("n", n)))
 
     def succ(x: int) -> int:
         return meter.spend(1, x + 1)
@@ -158,12 +135,12 @@ def eval_ack_prim(m: int, n: int, meter: Meter) -> int:
 
 
 def eval_knuth_ref(a: int, n: int, b: int, meter: Meter) -> int:
-    _take_inputs(meter, (("a", a), ("n", n), ("b", b)))
+    meter.take((("a", a), ("n", n), ("b", b)))
     return meter.run(knuth_machine, a, n, b)
 
 
 def eval_knuth_prim(a: int, n: int, b: int, meter: Meter) -> int:
-    _take_inputs(meter, (("a", a), ("n", n), ("b", b)))
+    meter.take((("a", a), ("n", n), ("b", b)))
 
     def times_a(x: int) -> int:
         return meter.spend(1, a * x)
@@ -180,12 +157,12 @@ def eval_knuth_prim(a: int, n: int, b: int, meter: Meter) -> int:
 
 
 def eval_conway_ref(entries: Sequence[int], meter: Meter) -> int:
-    chain = _take_inputs(meter, (("chain entry", e) for e in entries), least=1)
+    chain = meter.take((("chain entry", e) for e in entries), least=1)
     return meter.run(conway_machine, chain)
 
 
 def eval_conway_prim(entries: Sequence[int], meter: Meter) -> int:
-    chain = _take_inputs(meter, (("chain entry", e) for e in entries), least=1)
+    chain = meter.take((("chain entry", e) for e in entries), least=1)
     # front end: trivial lengths, then reverse, reduce every entry by one,
     # and hand (tail, q, p) to the fold-built back end
     if len(chain) < 2:  # one fold application yields the chain's value
@@ -205,7 +182,7 @@ def eval_cback_prim(
         for e in reduced_tail:
             yield "tail entry", e
 
-    q, p, *tail = _take_inputs(meter, inputs())
+    q, p, *tail = meter.take(inputs())
     _ensure_depth(len(tail) + 2, meter)
 
     # foldr aux cpow over the reduced, reversed tail; carriers are binary
@@ -234,7 +211,7 @@ def eval_cback_prim(
 
 
 def eval_cpow(q: int, p: int, meter: Meter) -> int:
-    _take_inputs(meter, (("q", q), ("p", p)))
+    meter.take((("q", q), ("p", p)))
     return meter.run(pow_counted, p + 1, q + 1)
 
 

@@ -32,7 +32,6 @@ from .budget import (
 )
 from .hyperops import (
     DEFAULT_BUDGET,
-    _take_inputs,
     eval_ack_prim,
     eval_ack_ref,
     eval_conway_prim,
@@ -349,26 +348,34 @@ def render(e: Expr) -> str:
 def _eval_node(e: Expr, prim: bool, meter: Meter) -> int:
     match e:
         case NatLit(value):
-            return _take_inputs(meter, (("literal", value),))[0]
+            return meter.take((("literal", value),))[0]
         case Ack(m, n):
-            mv = _eval_node(m, prim, meter)
-            nv = _eval_node(n, prim, meter)
+            mv, nv = _eval_args((m, n), "literal", 0, prim, meter)
             return (eval_ack_prim if prim else eval_ack_ref)(mv, nv, meter)
         case Knuth(a, level, b):
-            av = _eval_node(a, prim, meter)
-            lv = _eval_node(level, prim, meter)
-            bv = _eval_node(b, prim, meter)
+            av, lv, bv = _eval_args((a, level, b), "literal", 0, prim, meter)
             return (eval_knuth_prim if prim else eval_knuth_ref)(av, lv, bv, meter)
         case ChainE(items) | ConwayCall(items):
-            entries = [_eval_node(item, prim, meter) for item in items]
+            entries = _eval_args(items, "chain entry", 1, prim, meter)
             return (eval_conway_prim if prim else eval_conway_ref)(entries, meter)
     raise TypeError(f"not an expression: {value_text(e)}")
+
+
+def _eval_args(args, name: str, least: int, prim: bool, meter: Meter) -> list[int]:
+    # literals first, together, by the call's own bound; then compound ones
+    meter.take(((name, a.value) for a in args if isinstance(a, NatLit)), least=least)
+    return [
+        a.value if isinstance(a, NatLit) else _eval_node(a, prim, meter) for a in args
+    ]
 
 
 def evaluate(
     e: Expr, form: str = BOTH, budget: Budget = DEFAULT_BUDGET
 ) -> tuple[int, EvalStats]:
     """Evaluate bottom-up and eagerly; one budget spans the whole tree.
+
+    A call takes its literals together, by its evaluator's input rule,
+    before its compound arguments: a call of literals ends as a direct call.
 
     ``form="both"`` runs the tree once per form, each under its own fresh
     budget, and raises :class:`MismatchError` when the values differ; the

@@ -40,7 +40,7 @@ from typing import Callable
 
 from hyperfold.budget import TRIP_MAGNITUDE, Budget, Meter, reaches_cap
 from hyperfold.folds import foldn
-from hyperfold.hyperops import _ensure_depth, _take_inputs
+from hyperfold.hyperops import _ensure_depth
 from hyperfold.notation import Ack, ChainE, ConwayCall, Knuth, NatLit, parse
 
 STACK_BYTES = 512 * 1024 * 1024
@@ -756,6 +756,68 @@ def conway_22qrs_prim_cost(q: int, r: int, s: int) -> int:
     return 12 + 4 * q + s + (r - 1) * ((188 * q - 173) * 3 ** (s - 2) - 2 * q - 2)
 
 
+def conway_1pqrs_ref_cost(p: int, q: int, r: int, s: int) -> int:
+    """The steps ``conway_ref((1, p, q, r, s))`` takes, one per rule, for
+    p, q, r, s >= 1, counted as in :func:`conway_ref_cost`; every value is
+    1, and a power of base 1 multiplies nothing.
+
+    Write c(Y) for the cost at a chain Y.  For a prefix X of two or more
+    entries, all 1-chains (so every value is 1):
+
+    * X -> a -> 1 drops its last entry: 1 + c(X -> a).
+    * X -> 1 -> b, b >= 2, collapses past its 1 to X -> 1, which drops its
+      1: 2 + c(X).
+    * X -> a -> b, a, b >= 2: the general rule fires a - 1 times and leaves
+      a - 1 continuations X -> _ -> (b - 1).  Then X -> 1 -> b costs 2 +
+      c(X), value 1, and each continuation resumes at X -> 1 -> (b - 1),
+      2 + c(X) by either case above: (a - 1) + a * (2 + c(X)), which a = 1
+      meets too.
+
+    With X = 1 -> p -> q, c(X) = 2 when p = 1 or q = 1, else 3p - 1
+    (:func:`conway_ref_cost`).  So s = 1 costs 1 +
+    :func:`conway_1pqr_ref_cost`, and s >= 2 costs r * (3 + c(X)) - 1:
+    5r - 1 when p = 1 or q = 1, else (3p + 2) * r - 1.  The same rules
+    give ``conway_1pqr_ref_cost`` for r >= 2 from X = 1 -> p, c(X) = 1:
+    4q - 1.
+    """
+    if s == 1:
+        return 1 + conway_1pqr_ref_cost(p, q, r)
+    if p == 1 or q == 1:
+        return 5 * r - 1
+    return (3 * p + 2) * r - 1
+
+
+def conway_1pqrs_prim_cost(p: int, q: int, r: int, s: int) -> int:
+    """The steps ``conway_prim((1, p, q, r, s))`` charges, for p, q, r, s
+    >= 1, counted as in :func:`conway_prim_cost`; every value is 1.
+
+    The front end reduces the reversed chain s, r, q, p, 1 to q' = s - 1,
+    p' = r - 1 and the tail (q - 1, p - 1, 0): 5 steps.  ``foldr aux
+    cpow`` applies ``aux`` three times: 3 steps.  Each ``cpow`` call has
+    base 1: 1 step.  Every value is 1, so a level-j >= 1 function applies
+    its level j - 1 at 1 - 1 = 0.  For a carrier ``aux o k`` entered at
+    (y, x), write A = 1 + k(0, o) for entering any of its levels at 0 (a
+    level-0 ``flip_base`` calls k(0, o), a level-j >= 1 function starts
+    from it and applies nothing).  A level-j >= 1 function at x costs A *
+    (1 + x), and level 0 at x costs 1 + k(x, o), so the call costs 1 + y
+    + (1 + k(x, o) when y = 0, else A * (1 + x)).
+
+    * k1 = ``aux 0 cpow``: A = 2, k1(0, x) = 3 and k1(y, x) = 3 + y + 2x.
+    * k2 = ``aux (p - 1) k1``: A = 4, k2(0, 0) = 5, k2(0, x) = x + 2p + 3
+      for x >= 1, and k2(y, x) = 5 + y + 4x for y >= 1.  The steps of
+      :func:`conway_1pqr_prim_cost` are 4 + 2 + k2(r - 1, q - 1).
+    * The outer carrier ``aux (q - 1) k2`` at (s - 1, r - 1): A = 1 + k2(0,
+      q - 1), 6 when q = 1, else q + 2p + 3.
+
+    The steps are 8 + the outer call: at s = 1, 10 + k2(r - 1, q - 1),
+    four more than ``conway_1pqr_prim_cost`` (one entry, one ``aux``, one
+    carrier entry and one ``flip_base``), and for s >= 2, 8 + s + r * A.
+    """
+    if s == 1:
+        return 4 + conway_1pqr_prim_cost(p, q, r)
+    return 8 + s + r * (6 if q == 1 else q + 2 * p + 3)
+
+
 def first_power_reaching(val, a, mag_limit):
     """The least j >= 1 with ``val * a**j >= mag_limit``, and that product,
     for a >= 2 and 1 <= val < mag_limit.
@@ -899,7 +961,7 @@ def machine_run(machine, *args, steps0=0):
     ``machine(*args, steps0, peak)``, where ``args`` are the machine's
     inputs (a chain as one tuple), then ``max_steps, max_digits``.  The
     machines take their inputs under the evaluators' input rule
-    (``hyperops._take_inputs``): the peak is the largest input, and one at
+    (``Meter.take``): the peak is the largest input, and one at
     or over the cap is the literal machines' own over-cap tuple
     ``(TRIP_MAGNITUDE, 0, steps0, peak)``, before any rule runs."""
     *inputs, max_steps, max_digits = args
@@ -975,13 +1037,13 @@ def ack_literal_prim(m: int, n: int, meter: Meter) -> int:
     """``foldn (\\f -> foldn f (f 1)) (+1) m n`` with every increment its own
     closure entry.  Same evaluator signature as ``eval_ack_prim``; run it
     with ``run_budgeted``."""
-    _take_inputs(meter, (("m", m), ("n", n)))
+    meter.take((("m", m), ("n", n)))
     _ensure_depth(m, meter)
 
     def succ(x: int) -> int:
         meter.spend()
         v = x + 1
-        meter.note(v)
+        meter.spend(0, v)
         return v
 
     def layer(f: Callable[[int], int]) -> Callable[[int], int]:
@@ -1001,13 +1063,13 @@ def knuth_literal_prim(a: int, n: int, b: int, meter: Meter) -> int:
     """``foldn (\\f -> foldn f 1) (a*) n b`` with every multiply its own
     closure entry.  Same evaluator signature as ``eval_knuth_prim``; run it
     with ``run_budgeted``."""
-    _take_inputs(meter, (("a", a), ("n", n), ("b", b)))
+    meter.take((("a", a), ("n", n), ("b", b)))
     _ensure_depth(n, meter)
 
     def times_a(x: int) -> int:
         meter.spend()
         v = a * x
-        meter.note(v)
+        meter.spend(0, v)
         return v
 
     def layer(f: Callable[[int], int]) -> Callable[[int], int]:

@@ -183,9 +183,9 @@ def test_digit_cap_trips_exactly_at_the_power_of_ten(span):
             meter = Meter(Budget(max_digits=d))
             if want:
                 with pytest.raises(MagnitudeExceeded):
-                    meter.note(v)
+                    meter.spend(0, v)
             else:
-                meter.note(v)
+                meter.spend(0, v)
             assert meter.peak == v
             steps = 10**9
             assert _oracles.machine_run(ack_machine, 0, v, steps, d) == (
@@ -220,7 +220,7 @@ def test_a_meter_is_built_at_once_whatever_its_cap():
     meter = Meter(Budget(max_digits=10**12))
     elapsed = time.perf_counter() - start
     assert elapsed < 0.010, f"Meter took {elapsed * 1000:.1f} ms"
-    meter.note(10**5000)
+    meter.spend(0, 10**5000)
     assert meter.stats() == EvalStats(steps_used=0, peak_digits=5001)
     for max_digits in (10**12, 10**400):
         huge = Budget(max_digits=max_digits)
@@ -237,9 +237,9 @@ def test_meter_spend_clamps_at_limit():
 
 def test_meter_note_trips_on_magnitude():
     meter = Meter(Budget(max_steps=10, max_digits=3))
-    meter.note(999)
+    meter.spend(0, 999)
     with pytest.raises(MagnitudeExceeded):
-        meter.note(1000)
+        meter.spend(0, 1000)
 
 
 def test_meter_spend_charges_a_step_then_notes_its_value():

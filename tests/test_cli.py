@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import io
 import os
 import subprocess
@@ -354,6 +355,80 @@ def test_closed_stdin_or_stderr_keeps_the_documented_exit_code(args, redirect, c
     )
     assert proc.returncode == code
     assert proc.stdout == ""
+
+
+def test_a_write_only_stdin_is_a_read_error():
+    # readline on a stdin opened write-only raises EBADF: that is the input
+    # failing, not the output, and stdout is left as it was
+    proc = subprocess.run(
+        ["sh", "-c", 'exec "$@" 0>/dev/null', "sh", *CLI, "repl"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == cli.EXIT_IOERR == 74
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: cannot read input: ")
+    assert len(proc.stderr.splitlines()) == 1
+
+
+_FAILING_STDIN = """
+import errno, io, os, sys
+from hyperfold.cli import main
+
+class Stdin(io.TextIOBase):
+    lines = ["2^^4\\n"]
+
+    def readline(self, size=-1):
+        if self.lines:
+            return self.lines.pop(0)
+        raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+sys.stdin = Stdin()
+sys.exit(main(["repl"]))
+"""
+
+
+def test_a_stdin_that_fails_after_a_line_keeps_the_output_printed():
+    proc = subprocess.run(
+        [sys.executable, "-c", _FAILING_STDIN],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    stats = cli._stats_line(evaluate(parse("2^^4"))[1])
+    assert proc.returncode == cli.EXIT_IOERR
+    assert proc.stdout == f"65536\n{stats}\n"
+    failure = OSError(errno.EIO, os.strerror(errno.EIO))
+    assert proc.stderr == f"error: cannot read input: {failure}\n"
+
+
+_CAP_TRIP = "magnitude: value exceeds 3 digits (max_digits=3)"
+
+
+@pytest.mark.parametrize(
+    "text, code, stderr",
+    [
+        ("ack(1000,50000)", 3, f"{_CAP_TRIP}\nsteps=0 peak_digits=5\n"),
+        ("ack(5000,3->3->3)", 3, f"{_CAP_TRIP}\nsteps=0 peak_digits=4\n"),
+        ("ack(3->3->3,5000)", 3, f"{_CAP_TRIP}\nsteps=0 peak_digits=4\n"),
+        (
+            "0->5000",
+            4,
+            "domain: chain entry must be an integer >= 1, got 0\n"
+            "steps=0 peak_digits=1\n",
+        ),
+    ],
+    ids=["ack(1000,50000)", "ack(5000,3->3->3)", "ack(3->3->3,5000)", "0->5000"],
+)
+def test_a_call_takes_its_literals_together_before_its_compound_arguments(
+    text, code, stderr
+):
+    # a call's literals enter the peak as one maximum, by the rule its
+    # evaluator applies to a direct call's inputs, before any compound
+    # argument runs
+    proc = run_cli("--max-digits", "3", "eval", text)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, "", stderr)
 
 
 def test_big_output_prints_in_full():

@@ -970,6 +970,32 @@ def test_conway_1_p_q_r_costs_exactly_the_formula(run, cost):
 
 
 @pytest.mark.parametrize(
+    "run, cost, far",
+    [
+        (conway_ref, _oracles.conway_1pqrs_ref_cost, {(3, 3, 10**5, 3): 1_099_999}),
+        (conway_prim, _oracles.conway_1pqrs_prim_cost, {(3, 3, 10**5, 3): 1_200_011}),
+    ],
+    ids=["ref", "prim"],
+)
+def test_conway_1_p_q_r_s_costs_exactly_the_formula(run, cost, far):
+    # 1->p->q->r->s = 1 at exactly C steps, and a budget of C - 1 trips
+    # there: every p, q, r, s <= 5, and one far chain (1->3->100000->3->3
+    # nests 99,999 closures, a ConstructionLimit in the fold form)
+    for p, q, r, s in [*itertools.product(range(1, 6), repeat=4), *far]:
+        c = cost(p, q, r, s)
+        if (p, q, r, s) in far:
+            assert c == far[p, q, r, s]
+        chain = (1, p, q, r, s)
+        assert run(chain, Budget(max_steps=c)) == (
+            1,
+            EvalStats(steps_used=c, peak_digits=len(str(max(chain)))),
+        )
+        with pytest.raises(BudgetExceeded) as trip:
+            run(chain, Budget(max_steps=c - 1))
+        assert trip.value.stats.steps_used == c - 1, chain
+
+
+@pytest.mark.parametrize(
     "run, cost, large, first",
     [
         (

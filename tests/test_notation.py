@@ -1,4 +1,5 @@
 import decimal
+import itertools
 import re
 import sys
 import tracemalloc
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _oracles
+from hyperfold import notation
 from hyperfold.budget import (
     Budget,
     BudgetExceeded,
@@ -395,10 +397,10 @@ def test_evaluate_rejects_non_positive_chain_items():
 
 @pytest.mark.parametrize("form", FORMS)
 def test_a_literal_is_taken_by_the_input_rule(form):
-    # the walk takes each literal as it reaches it, by the rule every
-    # evaluator's arguments follow: anything but an int >= 0 is a domain
-    # error before any step, and a literal past the cap trips before the
-    # next one is read
+    # the walk takes literals by the rule every evaluator's arguments
+    # follow: anything but an int >= 0 is a domain error before any step,
+    # and a call's literals are taken together, all checked before their
+    # maximum is noted, as ack_ref(1000, -1) takes its inputs
     for bad, expr in [
         (-5, NatLit(-5)),
         (True, NatLit(True)),
@@ -410,9 +412,10 @@ def test_a_literal_is_taken_by_the_input_rule(form):
             evaluate(expr, form, B)
         assert invalid.value.detail == f"literal must be an integer >= 0, got {bad!r}"
         assert invalid.value.stats == EvalStats(0, 1)
-    with pytest.raises(MagnitudeExceeded) as trip:
+    with pytest.raises(DomainError) as invalid:
         evaluate(Ack(NatLit(1000), NatLit(-1)), form, Budget(max_digits=3))
-    assert trip.value.stats == EvalStats(0, 4)
+    assert invalid.value.detail == "literal must be an integer >= 0, got -1"
+    assert invalid.value.stats == EvalStats(0, 1)
 
 
 def _allowed(value, least=0) -> bool:
@@ -496,9 +499,71 @@ def test_every_input_ends_in_a_value_or_a_typed_error(data, budget):
                 invalid.detail,
             )
             assert what, invalid.detail
-            assert what[2] in (texts if what[1].startswith("literal") else {"0"})
+            # a call's literal entries are taken with the chain's bound; an
+            # entry of 0 may also come from a compound entry's value
+            literal = what[1].startswith("literal")
+            assert what[2] in (texts if literal else texts | {"0"})
         except HyperError:
             pass
+
+
+GRID_LITERALS = (0, 1, 2, 3, 999, 1000, 50000, -1, True, 2.5)
+
+
+def _ended(run, *args):
+    try:
+        return run(*args)
+    except HyperError as exc:
+        return type(exc), exc.stats
+
+
+@pytest.mark.parametrize(
+    "form, ack, knuth, conway",
+    [
+        ("reference", ack_ref, knuth_ref, conway_ref),
+        ("primitive", ack_prim, knuth_prim, conway_prim),
+    ],
+    ids=["reference", "primitive"],
+)
+def test_a_call_of_literals_ends_as_the_direct_call_does(form, ack, knuth, conway):
+    # a call node takes its literals together, by its evaluator's own rule,
+    # so the tree and the direct call end in the same value and stats, or
+    # in the same kind of error with the same stats; a DomainError's
+    # wording alone may differ (the walk says literal where ack_ref says m)
+    budget = Budget(10**5, 3)
+    cases = [
+        (Ack(*map(NatLit, args)), ack, args)
+        for args in itertools.product(GRID_LITERALS, repeat=2)
+    ]
+    cases += [
+        (Knuth(*map(NatLit, args)), knuth, args)
+        for args in itertools.product(GRID_LITERALS, repeat=3)
+    ]
+    for k in range(4):
+        node = ChainE if k >= 2 else ConwayCall
+        cases += [
+            (node(tuple(map(NatLit, chain))), conway, (chain,))
+            for chain in itertools.product(GRID_LITERALS, repeat=k)
+        ]
+    assert len(cases) == 2211
+    for tree, run, args in cases:
+        want = _ended(run, *args, budget)
+        assert _ended(evaluate, tree, form, budget) == want, (tree, want)
+
+
+def test_the_walk_calls_the_evaluator_bound_in_notation(monkeypatch):
+    # the benchmark's tracer rebinds notation.eval_*; the walk must look
+    # each evaluator up there when it runs, not hold one from import
+    original = notation.eval_ack_ref
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(notation, "eval_ack_ref", counted)
+    assert evaluate(parse("ack(1,1)"), "reference", B)[0] == 3
+    assert len(calls) == 1
 
 
 def test_a_chain_that_is_not_iterable_is_a_type_error():
