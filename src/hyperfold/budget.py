@@ -52,12 +52,12 @@ reference machine's level-0 runs call it.
 
 :func:`int_to_decimal` and :func:`decimal_to_int` own integer text and never
 read the interpreter's int<->str cap; messages and reprs show ints through
-:func:`value_text`, so none fails past the cap.  One size rule each way
-picks the route: ``str()`` up to :data:`_LEAF_BITS` bits and ``int()`` up to
-:data:`_PARSE_DIGITS` digits, which no cap refuses, and past them a split.
-A render splits in bits, with ``Decimal`` powers of two from ``decimal``'s
-exact ``power`` and one cache bounded in bytes, as the powers of ten a parse
-splits at are: the split depends on the size alone, so renders of a
+:func:`value_text`, so none fails past the cap.  One bound, which no cap
+refuses, picks the route both ways: ``int()`` up to :data:`_PARSE_DIGITS`
+digits, ``str()`` up to :data:`_LEAF_BITS` (the same bound in bits), and a
+split past it.  A render splits in bits, with ``Decimal`` powers of two from
+``decimal``'s exact ``power`` and one bounded cache, as the powers of ten a
+parse splits at are: the split depends on the size alone, so renders of a
 recurring size, such as a session's repeated ``2^^5``, build no power.
 
 :class:`Record` is the frozen value class of :class:`Budget`,
@@ -196,19 +196,17 @@ class ConstructionLimit(HyperError):
 def decimal_digits(value: int) -> int:
     """Exact count of decimal digits of a non-negative integer.
 
-    A value of b bits lies in ``[2**(b-1), 2**b)``, so it has at least
-    ``1 + (b-1) * DEN // (NUM+1)`` and at most ``1 + b * DEN // NUM`` digits
-    (the log2(10) bracket).  The bounds meet, or differ by one for any value
-    that fits in memory, and then :func:`reaches_cap` decides between them.
+    A value of b bits has at least ``1 + (b-1) * DEN // (NUM+1)`` digits,
+    the low end of the log2(10) bracket, and one more while
+    :func:`reaches_cap` says it reaches ``10**digits``: at most once for a
+    value that fits in memory, to the high end, which bit length decides.
     """
     if value < 0:
         raise ValueError("decimal_digits is defined for non-negative values")
     if value == 0:
         return 1
-    bits = value.bit_length()
-    digits = 1 + (bits - 1) * _LOG2_10_DEN // (_LOG2_10_NUM + 1)
-    most = 1 + bits * _LOG2_10_DEN // _LOG2_10_NUM
-    while digits < most and reaches_cap(value, digits):
+    digits = 1 + (value.bit_length() - 1) * _LOG2_10_DEN // (_LOG2_10_NUM + 1)
+    while reaches_cap(value, digits):
         digits += 1
     return digits
 
@@ -324,18 +322,18 @@ def pow_reaches_cap(base: int, exponent: int, max_digits: int) -> bool:
     return reaches_cap(base**exponent, max_digits)
 
 
-#: a value of more bits than this renders by :func:`_split_to_decimal`, in
-#: pieces of at most this many bits; up to it ``str()`` renders it whole, as
-#: 2,048 bits (617 digits) is below the least int->str cap CPython accepts
-_LEAF_BITS = 2048
-#: :func:`decimal_to_int`'s piece size: the least int<->str cap CPython takes
+#: the one bound of integer text, the least int<->str cap CPython accepts:
+#: ``int()`` takes this many digits and ``str()`` :data:`_LEAF_BITS` bits,
+#: surely no more digits, and past it each splits into pieces of that size
 _PARSE_DIGITS = 640
+_LEAF_BITS = safe_bits(_PARSE_DIGITS)
 
 
 def int_to_decimal(value: int) -> str:
     """Plain decimal rendering of an integer under any int<->str cap:
-    ``str(value)`` up to :data:`_LEAF_BITS` bits, which no cap refuses, else
-    the subquadratic :func:`_split_to_decimal`."""
+    ``str(value)`` up to :data:`_LEAF_BITS` bits (:data:`_PARSE_DIGITS`
+    digits), which no cap refuses, else the subquadratic
+    :func:`_split_to_decimal`."""
     if value < 0:
         return "-" + int_to_decimal(-value)
     if value.bit_length() <= _LEAF_BITS:

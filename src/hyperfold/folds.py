@@ -59,7 +59,7 @@ def foldn(step: Callable[[A], A], base: A, n: int) -> A:
 def foldr_seq(step: Callable[[A, B], B], base: B, xs: Sequence[A]) -> B:
     """Right fold: ``step(x0, step(x1, ... step(x_last, base)))``.
 
-    The input sequence is consumed front to back and never mutated.
+    The input sequence is read from the back and never mutated.
     """
     acc = base
     for x in reversed(xs):

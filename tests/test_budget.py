@@ -82,6 +82,11 @@ def test_decimal_digits_boundaries():
         assert decimal_digits(power + 1) == e + 1, e
 
 
+def test_decimal_digits_refuses_a_negative_value():
+    with pytest.raises(ValueError, match="non-negative"):
+        decimal_digits(-1)
+
+
 def test_decimal_digits_builds_at_most_one_power_of_ten():
     rng = random.Random(11)
     values = [10**e + d for e in (1, 17, 300, 4000) for d in (-1, 0, 1)]
@@ -235,7 +240,7 @@ def test_meter_spend_clamps_at_limit():
     assert meter.steps == 10  # never reported above the budget
 
 
-def test_meter_note_trips_on_magnitude():
+def test_meter_spend_of_zero_steps_trips_on_magnitude():
     meter = Meter(Budget(max_steps=10, max_digits=3))
     meter.spend(0, 999)
     with pytest.raises(MagnitudeExceeded):
@@ -403,6 +408,18 @@ def test_mul_run_matches_plain_loop():
     assert cases == 157_440
 
 
+@pytest.mark.parametrize("scale", [0.5, 2], ids=["overshoot", "undershoot"])
+def test_a_multiply_run_corrects_a_wrong_estimate_either_way(monkeypatch, scale):
+    # the float estimate only seeds the search for the trip point: with
+    # log10(10) halved it lands past the trip and is walked down, doubled it
+    # lands short and is walked up, and exact tests find the same product
+    log10 = budget.log10
+    monkeypatch.setattr(budget, "log10", lambda x: log10(x) * (scale if x == 10 else 1))
+    j, first = _oracles.first_power_reaching(7, 10, 10**50)
+    assert j == 50
+    assert mul_run(7, 10, 10**6, 10**9, 50, 0, 7) == (TRIP_MAGNITUDE, 0, j, first)
+
+
 def _plain_add_run(val, count, max_steps, mag_limit, steps, peak):
     """The increments one at a time, each charged and noted."""
     for _ in range(count):
@@ -532,7 +549,7 @@ values = [rng.randrange(10 ** (n - 1), 10**n) for n in sizes]
 for k in (_LEAF_BITS - 1, _LEAF_BITS, _LEAF_BITS + 1, 2 * _LEAF_BITS,
           2**15 - 1, 2**15, 2**15 + 1, 2 * 2**15):
     values += [2**k - 1, 2**k, 2**k + 1]
-for k in (1, 617, 9864, 9865, 30000):
+for k in (1, 617, 639, 640, 9864, 9865, 30000):
     values += [10**k - 1, 10**k, 10**k + 1]
 values += [0, 2**65536]  # every low binary piece of 2**65536 is zero
 texts = [str(value) for value in values]
@@ -572,7 +589,7 @@ def test_split_rendering_matches_str():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "checked 63\n"
+    assert proc.stdout == "checked 69\n"
 
 
 def test_renders_agree_across_threads():

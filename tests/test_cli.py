@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperfold import budget, cli
+from hyperfold import budget, cli, notation
 from hyperfold.budget import Budget, ConstructionLimit, EvalStats
-from hyperfold.notation import FORMS, evaluate, parse
+from hyperfold.notation import FORMS, MismatchError, evaluate, parse
 
 CLI = [sys.executable, "-m", "hyperfold.cli"]
 
@@ -114,6 +114,46 @@ def test_eval_with_int_str_cap_disabled():
     proc = run_cli("eval", "2^^4", env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[0] == "65536"
+
+
+def test_a_mismatch_exits_5_with_both_values(monkeypatch, capsys):
+    # a fold form made to disagree: evaluate raises with both values, and
+    # the CLI names them on stderr, with no stats line, and exits 5
+    ack_prim = notation.eval_ack_prim
+    monkeypatch.setattr(notation, "eval_ack_prim", lambda *a: ack_prim(*a) + 1)
+    with pytest.raises(MismatchError) as mismatch:
+        evaluate(parse("ack(1,1)"), "both")
+    assert (mismatch.value.reference_value, mismatch.value.primitive_value) == (3, 4)
+    assert cli.run_eval("ack(1,1)", cli.Config()) == cli.EXIT_MISMATCH == 5
+    assert capsys.readouterr() == (
+        "",
+        "mismatch: reference and primitive evaluations disagree: 3 vs 4\n",
+    )
+
+
+def test_an_interactive_repl_shows_a_banner_and_prompts():
+    # a terminal on stdin makes the session interactive: a banner, then a
+    # prompt before each read, the results on stdout between them
+    pty = pytest.importorskip("pty")
+    leader, follower = pty.openpty()
+    try:
+        proc = subprocess.Popen(
+            CLI + ["repl"],
+            stdin=follower,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        os.write(leader, b"2^^4\n:quit\n")
+        out, err = proc.communicate(timeout=60)
+    finally:
+        os.close(follower)
+        os.close(leader)
+    assert (proc.returncode, err) == (0, "")
+    assert out == (
+        "enter an expression per line, :quit to leave\n"
+        "hyperfold> 65536\nsteps=85 peak_digits=5\nhyperfold> "
+    )
 
 
 def test_repl_session():

@@ -38,6 +38,22 @@ from hyperfold.notation import evaluate, parse
 B = Budget()
 
 
+def _pin_cost(run, args, cost, value, peak_digits=None, **limits):
+    """Pin an exact cost: ``run(*args, budget)`` returns ``value`` at exactly
+    ``cost`` steps, with ``peak_digits`` when given, and a budget of
+    ``cost - 1`` trips there (a budget is at least one step, so a cost of 1
+    pins no trip).  ``limits`` are the budget's other fields."""
+    case = (run.__name__, args)
+    got, stats = run(*args, Budget(max_steps=cost, **limits))
+    assert (got, stats.steps_used) == (value, cost), case
+    if peak_digits is not None:
+        assert stats.peak_digits == peak_digits, case
+    if cost > 1:
+        with pytest.raises(BudgetExceeded) as trip:
+            run(*args, Budget(max_steps=cost - 1, **limits))
+        assert trip.value.stats.steps_used == cost - 1, case
+
+
 # --- Ackermann -------------------------------------------------------------
 
 
@@ -120,14 +136,8 @@ def test_ack_cost_closed_forms_match_the_recurrence():
 
 @pytest.mark.parametrize("n", [20, 40, 60])
 def test_ack_ref_costs_exactly_the_closed_form_at_large_n(n):
-    # far past the literal machine's reach (C(3, 60) has 38 digits): the
-    # value comes at exactly C steps, and a budget of C - 1 trips there
-    cost = _oracles.ack_cost(3, n)
-    value, stats = ack_ref(3, n, Budget(max_steps=cost))
-    assert (value, stats.steps_used) == (2 ** (n + 3) - 3, cost)
-    with pytest.raises(BudgetExceeded) as trip:
-        ack_ref(3, n, Budget(max_steps=cost - 1))
-    assert trip.value.stats.steps_used == cost - 1
+    # far past the literal machine's reach (C(3, 60) has 38 digits)
+    _pin_cost(ack_ref, (3, n), _oracles.ack_cost(3, n), 2 ** (n + 3) - 3)
 
 
 def test_a_level1_run_solves_only_for_frames_that_do_not_all_fit(monkeypatch):
@@ -219,12 +229,8 @@ def test_ack_heavy_point_needs_expanded_budget():
     need = _oracles.run_deep(_oracles.count_ack_steps, 4, 1)
     assert need == 2_862_984_010
     # ...and a budget of exactly that many steps is enough, to the step
-    value, stats = ack_ref(4, 1, Budget(max_steps=need, max_digits=10**5))
-    assert value == 65533
-    assert value == _oracles.run_deep(_oracles.ack, 4, 1)
-    assert stats.steps_used == need
-    with pytest.raises(BudgetExceeded):
-        ack_ref(4, 1, Budget(max_steps=need - 1, max_digits=10**5))
+    assert _oracles.run_deep(_oracles.ack, 4, 1) == 65533
+    _pin_cost(ack_ref, (4, 1), need, 65533, max_digits=10**5)
 
 
 def test_ack_rejects_bad_arguments():
@@ -274,8 +280,7 @@ def test_ack_prim_matches_literal_sampled(m, n, max_steps, max_digits):
 
 
 def test_ack_prim_costs_exactly_the_recurrence():
-    # every case the fold form finishes in 10**5 steps: the value comes at
-    # exactly C steps, and a budget of C - 1 trips there
+    # every case the fold form finishes in 10**5 steps, pinned at its cost
     cases = 0
     for m, n in itertools.product(range(5), range(6)):
         try:
@@ -284,10 +289,7 @@ def test_ack_prim_costs_exactly_the_recurrence():
             continue
         cost = _oracles.ack_prim_cost(m, n)
         assert (value, stats.steps_used) == (_oracles.ack(m, n), cost), (m, n)
-        if cost > 1:  # a budget is at least one step
-            with pytest.raises(BudgetExceeded) as trip:
-                ack_prim(m, n, Budget(max_steps=cost - 1))
-            assert trip.value.stats.steps_used == cost - 1, (m, n)
+        _pin_cost(ack_prim, (m, n), cost, value)
         cases += 1
     assert cases == 25
 
@@ -303,13 +305,7 @@ def test_ack_prim_costs_exactly_the_recurrence():
 def test_ack_prim_costs_the_closed_form_at_large_n(m, n, value, cost):
     # far past the literal fold form's grid, one closed form per level
     assert _oracles.ack_prim_cost(m, n) == cost
-    assert ack_prim(m, n, Budget(max_steps=cost)) == (
-        value,
-        EvalStats(steps_used=cost, peak_digits=len(str(value))),
-    )
-    with pytest.raises(BudgetExceeded) as trip:
-        ack_prim(m, n, Budget(max_steps=cost - 1))
-    assert trip.value.stats.steps_used == cost - 1
+    _pin_cost(ack_prim, (m, n), cost, value, len(str(value)))
 
 
 # --- Knuth up-arrows -------------------------------------------------------
@@ -343,36 +339,25 @@ def test_knuth_magnitude_trip():
 
 
 def test_knuth_ref_costs_exactly_the_recurrence():
-    # every case the machine finishes in 10**6 steps under a 100-digit cap:
-    # the value comes at exactly C steps, and a budget of C - 1 trips there
+    # every case the machine finishes in 10**6 steps under a 100-digit cap,
+    # pinned at its cost
     cases = 0
     for a, n, b in itertools.product(range(6), range(5), range(6)):
-        budget = Budget(max_steps=10**6, max_digits=100)
         try:
-            value, stats = knuth_ref(a, n, b, budget)
+            value, stats = knuth_ref(a, n, b, Budget(10**6, 100))
         except HyperError:
             continue
         cost = _oracles.knuth_cost(a, n, b)
         assert (value, stats.steps_used) == (_oracles.knuth(a, n, b), cost)
-        if cost > 1:  # a budget is at least one step
-            with pytest.raises(BudgetExceeded) as trip:
-                knuth_ref(a, n, b, Budget(max_steps=cost - 1, max_digits=100))
-            assert trip.value.stats.steps_used == cost - 1
+        _pin_cost(knuth_ref, (a, n, b), cost, value, max_digits=100)
         cases += 1
     assert cases == 143
 
 
 def test_knuth_ref_costs_and_caps_at_large_arguments():
     # far past the literal machine's reach: 2^^5 = 2**65536 at T(2, 5)
-    cost = _oracles.knuth_cost(2, 2, 5)
-    assert cost == 131_129
-    assert knuth_ref(2, 2, 5, Budget(max_steps=cost)) == (
-        2**65536,
-        EvalStats(steps_used=cost, peak_digits=19_729),
-    )
-    with pytest.raises(BudgetExceeded) as trip:
-        knuth_ref(2, 2, 5, Budget(max_steps=cost - 1))
-    assert trip.value.stats.steps_used == 131_128
+    assert _oracles.knuth_cost(2, 2, 5) == 131_129
+    _pin_cost(knuth_ref, (2, 2, 5), 131_129, 2**65536, 19_729)
     # one level-1 frame at b: a descent of b + 1 steps, then b multiplies
     assert _oracles.knuth_cost(2, 1, 10**6) == 2_000_001
     value, stats = knuth_ref(2, 1, 10**6, Budget(max_digits=400_000))
@@ -394,35 +379,24 @@ def test_knuth_ref_costs_and_caps_at_large_arguments():
 
 def test_knuth_prim_costs_exactly_the_recurrence():
     # the cases of test_knuth_ref_costs_exactly_the_recurrence, in the fold
-    # form, at C and C - 1
+    # form
     cases = 0
     for a, n, b in itertools.product(range(6), range(5), range(6)):
-        budget = Budget(max_steps=10**6, max_digits=100)
         try:
-            value, stats = knuth_prim(a, n, b, budget)
+            value, stats = knuth_prim(a, n, b, Budget(10**6, 100))
         except HyperError:
             continue
         cost = _oracles.knuth_prim_cost(a, n, b)
         assert (value, stats.steps_used) == (_oracles.knuth(a, n, b), cost)
-        if cost > 1:  # a budget is at least one step
-            with pytest.raises(BudgetExceeded) as trip:
-                knuth_prim(a, n, b, Budget(max_steps=cost - 1, max_digits=100))
-            assert trip.value.stats.steps_used == cost - 1
+        _pin_cost(knuth_prim, (a, n, b), cost, value, max_digits=100)
         cases += 1
     assert cases == 143
 
 
 def test_knuth_prim_costs_and_caps_at_large_arguments():
     # 2^^5 = 2**65536 at n + K(2, 5)
-    cost = _oracles.knuth_prim_cost(2, 2, 5)
-    assert cost == 65_567
-    assert knuth_prim(2, 2, 5, Budget(max_steps=cost)) == (
-        2**65536,
-        EvalStats(steps_used=cost, peak_digits=19_729),
-    )
-    with pytest.raises(BudgetExceeded) as trip:
-        knuth_prim(2, 2, 5, Budget(max_steps=cost - 1))
-    assert trip.value.stats.steps_used == 65_566
+    assert _oracles.knuth_prim_cost(2, 2, 5) == 65_567
+    _pin_cost(knuth_prim, (2, 2, 5), 65_567, 2**65536, 19_729)
     # one layer, one closure entry, then one fused run of b multiplies
     assert _oracles.knuth_prim_cost(2, 1, 10**6) == 1_000_002
     value, stats = knuth_prim(2, 1, 10**6, Budget(max_digits=400_000))
@@ -837,24 +811,15 @@ def test_a_short_conway_chain_is_one_step(run, form):
     ids=["ref", "prim"],
 )
 def test_conway_1x2_costs_exactly_the_formula(run, cost):
-    # 1->x->2 = 1 comes at exactly C steps, and a budget of C - 1 trips
-    # there, up to x where the literal machine is slow to go
+    # 1->x->2 = 1, pinned up to x where the literal machine is slow to go
     for x in (*range(1, 41), 10**5):
-        c = cost(x)
-        assert run((1, x, 2), Budget(max_steps=c)) == (
-            1,
-            EvalStats(steps_used=c, peak_digits=len(str(x))),
-        )
-        with pytest.raises(BudgetExceeded) as trip:
-            run((1, x, 2), Budget(max_steps=c - 1))
-        assert trip.value.stats.steps_used == c - 1, x
+        _pin_cost(run, ((1, x, 2),), cost(x), 1, len(str(x)))
 
 
 def test_conway_length_3_costs_exactly_the_recurrences():
     # every chain of three entries 1..5 that both forms finish at the
-    # default budget: the value comes at exactly C steps, and a budget of
-    # C - 1 trips there (the fold form first, whose power trips at once
-    # where the rewrite form would run to its step budget)
+    # default budget, pinned at its cost (the fold form first, whose power
+    # trips at once where the rewrite form would run to its step budget)
     cases = 0
     for chain in itertools.product(range(1, 6), repeat=3):
         try:
@@ -862,16 +827,8 @@ def test_conway_length_3_costs_exactly_the_recurrences():
             conway_ref(chain, B)
         except HyperError:
             continue
-        for run, cost in (
-            (conway_ref, _oracles.conway_ref_cost),
-            (conway_prim, _oracles.conway_prim_cost),
-        ):
-            c = cost(chain)
-            got, stats = run(chain, Budget(max_steps=c))
-            assert (got, stats.steps_used) == (value, c), (run, chain)
-            with pytest.raises(BudgetExceeded) as trip:
-                run(chain, Budget(max_steps=c - 1))
-            assert trip.value.stats.steps_used == c - 1, (run, chain)
+        _pin_cost(conway_ref, (chain,), _oracles.conway_ref_cost(chain), value)
+        _pin_cost(conway_prim, (chain,), _oracles.conway_prim_cost(chain), value)
         cases += 1
     assert cases == 76
 
@@ -885,20 +842,13 @@ def test_conway_length_3_costs_exactly_the_recurrences():
     ids=["ref", "prim"],
 )
 def test_conway_2_2_r_costs_4r_and_4r_plus_5(run, cost, constant, far):
-    # 2->2->r = 4 at exactly C steps, and a budget of C - 1 trips there, up
-    # to r where the recurrence is slow to go (the fold form nests r - 1
-    # closures, at most 1,200)
+    # 2->2->r = 4, pinned up to r where the recurrence is slow to go (the
+    # fold form nests r - 1 closures, at most 1,200)
     for r in (*range(1, 41), far):
         c = 4 * r + constant
         if r <= 40:
             assert cost((2, 2, r)) == c, r
-        assert run((2, 2, r), Budget(max_steps=c)) == (
-            4,
-            EvalStats(steps_used=c, peak_digits=len(str(max(r, 4)))),
-        )
-        with pytest.raises(BudgetExceeded) as trip:
-            run((2, 2, r), Budget(max_steps=c - 1))
-        assert trip.value.stats.steps_used == c - 1, r
+        _pin_cost(run, ((2, 2, r),), c, 4, len(str(max(r, 4))))
     if run is conway_prim:
         with pytest.raises(ConstructionLimit) as limit:
             run((2, 2, far + 1), B)
@@ -924,9 +874,8 @@ def test_conway_2_2_r_costs_4r_and_4r_plus_5(run, cost, constant, far):
     ids=["ref", "prim"],
 )
 def test_conway_2_2_q_r_costs_exactly_the_formula(run, cost, tower_cost, line_cost):
-    # 2->2->q->r = 4 at exactly C steps, and a budget of C - 1 trips there:
-    # every q <= 6 with r <= 5, 2->2->2->r up to r = 11 (413,345 rules),
-    # and 2->2->q->2 up to q = 39 and at q = 10^4
+    # 2->2->q->r = 4, pinned at every q <= 6 with r <= 5, 2->2->2->r up to
+    # r = 11 (413,345 rules), and 2->2->q->2 up to q = 39 and at q = 10^4
     cases = list(itertools.product(range(1, 7), range(1, 6)))
     cases += [(2, r) for r in range(6, 12)] + [(q, 2) for q in range(7, 40)]
     for q, r in cases + [(10**4, 2)]:
@@ -935,14 +884,7 @@ def test_conway_2_2_q_r_costs_exactly_the_formula(run, cost, tower_cost, line_co
             assert c == tower_cost(r), r
         if r == 2:
             assert c == line_cost(q), q
-        chain = (2, 2, q, r)
-        assert run(chain, Budget(max_steps=c)) == (
-            4,
-            EvalStats(steps_used=c, peak_digits=len(str(max(q, r, 4)))),
-        )
-        with pytest.raises(BudgetExceeded) as trip:
-            run(chain, Budget(max_steps=c - 1))
-        assert trip.value.stats.steps_used == c - 1, chain
+        _pin_cost(run, ((2, 2, q, r),), c, 4, len(str(max(q, r, 4))))
 
 
 @pytest.mark.parametrize(
@@ -954,19 +896,10 @@ def test_conway_2_2_q_r_costs_exactly_the_formula(run, cost, tower_cost, line_co
     ids=["ref", "prim"],
 )
 def test_conway_1_p_q_r_costs_exactly_the_formula(run, cost):
-    # 1->p->q->r = 1 at exactly C steps, and a budget of C - 1 trips there:
-    # every p, q, r <= 6, and q = 10^5
+    # 1->p->q->r = 1, pinned at every p, q, r <= 6, and at q = 10^5
     cases = list(itertools.product(range(1, 7), repeat=3)) + [(3, 10**5, 3)]
     for p, q, r in cases:
-        c = cost(p, q, r)
-        chain = (1, p, q, r)
-        assert run(chain, Budget(max_steps=c)) == (
-            1,
-            EvalStats(steps_used=c, peak_digits=len(str(max(p, q, r)))),
-        )
-        with pytest.raises(BudgetExceeded) as trip:
-            run(chain, Budget(max_steps=c - 1))
-        assert trip.value.stats.steps_used == c - 1, chain
+        _pin_cost(run, ((1, p, q, r),), cost(p, q, r), 1, len(str(max(p, q, r))))
 
 
 @pytest.mark.parametrize(
@@ -978,21 +911,14 @@ def test_conway_1_p_q_r_costs_exactly_the_formula(run, cost):
     ids=["ref", "prim"],
 )
 def test_conway_1_p_q_r_s_costs_exactly_the_formula(run, cost, far):
-    # 1->p->q->r->s = 1 at exactly C steps, and a budget of C - 1 trips
-    # there: every p, q, r, s <= 5, and one far chain (1->3->100000->3->3
-    # nests 99,999 closures, a ConstructionLimit in the fold form)
+    # 1->p->q->r->s = 1, pinned at every p, q, r, s <= 5, and at one far
+    # chain (1->3->100000->3->3 nests 99,999 closures, a ConstructionLimit
+    # in the fold form)
     for p, q, r, s in [*itertools.product(range(1, 6), repeat=4), *far]:
         c = cost(p, q, r, s)
         if (p, q, r, s) in far:
             assert c == far[p, q, r, s]
-        chain = (1, p, q, r, s)
-        assert run(chain, Budget(max_steps=c)) == (
-            1,
-            EvalStats(steps_used=c, peak_digits=len(str(max(chain)))),
-        )
-        with pytest.raises(BudgetExceeded) as trip:
-            run(chain, Budget(max_steps=c - 1))
-        assert trip.value.stats.steps_used == c - 1, chain
+        _pin_cost(run, ((1, p, q, r, s),), c, 1, len(str(max(p, q, r, s))))
 
 
 @pytest.mark.parametrize(
@@ -1014,9 +940,8 @@ def test_conway_1_p_q_r_s_costs_exactly_the_formula(run, cost, far):
     ids=["ref", "prim"],
 )
 def test_conway_p_1_q_r_costs_exactly_the_formula(run, cost, large, first):
-    # p->1->q->r = p at exactly C steps, and a budget of C - 1 trips there:
-    # every 2 <= p <= 6 with q, r <= 6, and one large q; ``first`` holds
-    # the costs for r = 1..4 at p = q = 2, 3, 4
+    # p->1->q->r = p, pinned at every 2 <= p <= 6 with q, r <= 6, and at
+    # one large q; ``first`` holds the costs for r = 1..4 at p = q = 2, 3, 4
     for p, costs in zip((2, 3, 4), first):
         assert [cost(p, p, r) for r in range(1, 5)] == costs
     cases = list(itertools.product(range(2, 7), range(1, 7), range(1, 7)))
@@ -1024,14 +949,7 @@ def test_conway_p_1_q_r_costs_exactly_the_formula(run, cost, large, first):
         c = cost(p, q, r)
         if q == 1 or r == 1:
             assert c == (4 if run is conway_ref else 10 + q + r), (p, q, r)
-        chain = (p, 1, q, r)
-        assert run(chain, Budget(max_steps=c)) == (
-            p,
-            EvalStats(steps_used=c, peak_digits=len(str(max(p, q, r)))),
-        )
-        with pytest.raises(BudgetExceeded) as trip:
-            run(chain, Budget(max_steps=c - 1))
-        assert trip.value.stats.steps_used == c - 1, chain
+        _pin_cost(run, ((p, 1, q, r),), c, p, len(str(max(p, q, r))))
 
 
 @pytest.mark.parametrize(
@@ -1043,25 +961,16 @@ def test_conway_p_1_q_r_costs_exactly_the_formula(run, cost, large, first):
     ids=["ref", "prim"],
 )
 def test_conway_p_1_q_r_s_costs_exactly_the_formula(run, cost, pins):
-    # p->1->q->r->s = p at exactly C steps, and a budget of C - 1 trips
-    # there: every 2 <= p <= 4 with q, r, s <= 5, and 5->1->5->5->5
-    # (437,245 rules, 701,108 fold steps); ``pins`` holds the costs at
-    # 2->1->2->2->2, 2->1->2->2->3, 2->1->2->3->2, 3->1->2->2->2,
-    # 4->1->2->2->2, 3->1->3->3->3 and 2->1->2->2->1
+    # p->1->q->r->s = p, pinned at every 2 <= p <= 4 with q, r, s <= 5, and
+    # at 5->1->5->5->5 (437,245 rules, 701,108 fold steps); ``pins`` holds
+    # the costs at 2->1->2->2->2, 2->1->2->2->3, 2->1->2->3->2,
+    # 3->1->2->2->2, 4->1->2->2->2, 3->1->3->3->3 and 2->1->2->2->1
     points = [(2, 2, 2, 2), (2, 2, 2, 3), (2, 2, 3, 2), (3, 2, 2, 2)]
     points += [(4, 2, 2, 2), (3, 3, 3, 3), (2, 2, 2, 1)]
     assert [cost(*point) for point in points] == pins
     cases = list(itertools.product(range(2, 5), range(1, 6), range(1, 6), range(1, 6)))
     for p, q, r, s in cases + [(5, 5, 5, 5)]:
-        c = cost(p, q, r, s)
-        chain = (p, 1, q, r, s)
-        assert run(chain, Budget(max_steps=c)) == (
-            p,
-            EvalStats(steps_used=c, peak_digits=1),
-        ), chain
-        with pytest.raises(BudgetExceeded) as trip:
-            run(chain, Budget(max_steps=c - 1))
-        assert trip.value.stats.steps_used == c - 1, chain
+        _pin_cost(run, ((p, 1, q, r, s),), cost(p, q, r, s), p, 1)
     assert cost(5, 5, 5, 5) == (437_245 if run is conway_ref else 701_108)
 
 
@@ -1074,19 +983,11 @@ def test_conway_p_1_q_r_s_costs_exactly_the_formula(run, cost, pins):
     ids=["ref", "prim"],
 )
 def test_conway_2_2_2_2_r_costs_exactly_the_formula(run, cost, first):
-    # 2->2->2->2->r = 4 at exactly C steps, and a budget of C - 1 trips
-    # there, for r <= 9 (434,124 rules, 443,984 fold steps)
+    # 2->2->2->2->r = 4, pinned for r <= 9 (434,124 rules, 443,984 fold
+    # steps)
     assert [cost(r) for r in range(1, 5)] == first
     for r in range(1, 10):
-        c = cost(r)
-        chain = (2, 2, 2, 2, r)
-        assert run(chain, Budget(max_steps=c)) == (
-            4,
-            EvalStats(steps_used=c, peak_digits=1),
-        )
-        with pytest.raises(BudgetExceeded) as trip:
-            run(chain, Budget(max_steps=c - 1))
-        assert trip.value.stats.steps_used == c - 1, chain
+        _pin_cost(run, ((2, 2, 2, 2, r),), cost(r), 4, 1)
 
 
 @pytest.mark.parametrize(
@@ -1108,11 +1009,11 @@ def test_conway_2_2_2_2_r_costs_exactly_the_formula(run, cost, first):
     ids=["ref", "prim"],
 )
 def test_conway_2_2_q_r_s_costs_exactly_the_formula(run, cost, line, pins):
-    # 2->2->q->r->s = 4 at exactly C steps, and a budget of C - 1 trips
-    # there: every q, r, s <= 5, and four far chains; ``pins`` holds the
-    # costs at (q, r, s) = (1, 2, 2), (2, 2, 2), (2, 5, 1), (1, 5, 5),
-    # (3, 3, 3) and (5, 5, 5).  In the reference form the dropped last 1
-    # costs one rule more than 2->2->q->r, and q = r = 2 is 2->2->2->2->s
+    # 2->2->q->r->s = 4, pinned at every q, r, s <= 5, and at four far
+    # chains; ``pins`` holds the costs at (q, r, s) = (1, 2, 2), (2, 2, 2),
+    # (2, 5, 1), (1, 5, 5), (3, 3, 3) and (5, 5, 5).  In the reference form
+    # the dropped last 1 costs one rule more than 2->2->q->r, and q = r = 2
+    # is 2->2->2->2->s
     points = [(1, 2, 2), (2, 2, 2), (2, 5, 1), (1, 5, 5), (3, 3, 3), (5, 5, 5)]
     assert [cost(*point) for point in points] == pins
     far = {
@@ -1132,14 +1033,7 @@ def test_conway_2_2_q_r_s_costs_exactly_the_formula(run, cost, line, pins):
             assert c == _oracles.conway_22qr_ref_cost(q, r) + 1
         if reference and q == r == 2:
             assert c == _oracles.conway_2222r_ref_cost(s)
-        chain = (2, 2, q, r, s)
-        assert run(chain, Budget(max_steps=c)) == (
-            4,
-            EvalStats(steps_used=c, peak_digits=len(str(max(q, r, s, 4)))),
-        ), chain
-        with pytest.raises(BudgetExceeded) as trip:
-            run(chain, Budget(max_steps=c - 1))
-        assert trip.value.stats.steps_used == c - 1, chain
+        _pin_cost(run, ((2, 2, q, r, s),), c, 4, len(str(max(q, r, s, 4))))
 
 
 def test_ack_magnitude_trip_point_follows_the_value_formula():

@@ -10,6 +10,7 @@ import pytest
 
 import _oracles
 from hyperfold import selftest
+from hyperfold.budget import Budget, BudgetExceeded
 from hyperfold.selftest import FULL, LAWS, QUICK, run_selftest
 from test_acceptance import CRITERION_LAWS
 
@@ -48,3 +49,26 @@ def test_a_failing_law_gives_one_fail_line(monkeypatch):
         f"FAIL {target.name}: {target.cases[0]!r}: broken on purpose",
         f"{quick - 1} passed, 1 failed",
     ]
+
+
+def test_a_check_names_what_it_got_and_wanted():
+    with pytest.raises(AssertionError, match=r"^got 3, want 4$"):
+        selftest._expect(3, 4)
+
+
+def test_agree_names_the_value_when_only_one_side_trips():
+    def trips(budget):
+        raise BudgetExceeded("step budget exhausted")
+
+    def produces(budget):
+        return 7, None
+
+    for first, second in ((trips, produces), (produces, trips)):
+        with pytest.raises(AssertionError) as disagreement:
+            selftest._agree(first, second, Budget())
+        assert str(disagreement.value) == "one tripped a limit, the other produced 7"
+
+
+def test_an_unknown_level_is_refused():
+    with pytest.raises(ValueError, match="^level must be 'quick' or 'full'"):
+        run_selftest("medium")

@@ -2,6 +2,13 @@
 
 import ast
 import pathlib
+import re
+import subprocess
+import sys
+
+import pytest
+
+from hyperfold.selftest import LAWS
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -50,3 +57,46 @@ def test_every_import_is_used():
             if name not in used | _exported_names(tree)
         }
         assert not unused, f"{path.name} imports but never uses {sorted(unused)}"
+
+
+def _other_interpreters() -> dict[tuple[int, int], pathlib.Path]:
+    """Each other CPython >= 3.10 installed beside the running one, by
+    version: ``bin/python3`` of each install next to its prefix, and
+    ``bin/python3.N`` in its own."""
+    prefix = pathlib.Path(sys.base_prefix)
+    candidates = [*prefix.parent.glob("*/bin/python3"), *prefix.glob("bin/python3.*")]
+    found = {}
+    for exe in sorted(candidates):
+        if not re.fullmatch(r"python3(\.\d+)?", exe.name):
+            continue
+        probe = [exe, "-c", "import sys; print(*sys.version_info[:2])"]
+        proc = subprocess.run(probe, capture_output=True, text=True, timeout=60)
+        if proc.returncode == 0:
+            version = tuple(map(int, proc.stdout.split()))
+            if version >= (3, 10) and version != sys.version_info[:2]:
+                found.setdefault(version, exe)
+    return found
+
+
+def _run_cli(exe, *args):
+    return subprocess.run(
+        [exe, "-m", "hyperfold.cli", *args], capture_output=True, text=True, timeout=60
+    )
+
+
+def test_the_package_runs_on_every_python_it_declares():
+    # tier-1 runs on one interpreter; every other one installed beside it
+    # that requires-python admits runs the full selftest and the deepest
+    # fold (1,200 nested closures), with the output of this one
+    others = _other_interpreters()
+    if not others:
+        pytest.skip(f"no other CPython >= 3.10 is installed beside {sys.base_prefix}")
+    deepest = ("--form", "primitive", "eval", "knuth(2,1200,1)")
+    want = _run_cli(sys.executable, *deepest)
+    assert (want.returncode, want.stdout.splitlines()[0]) == (0, "2")
+    for version, exe in sorted(others.items()):
+        selftest = _run_cli(exe, "selftest", "full")
+        passed = f"{len(LAWS)} passed, 0 failed\n"
+        assert (selftest.returncode, selftest.stdout) == (0, passed), version
+        got = _run_cli(exe, *deepest)
+        assert (got.returncode, got.stdout) == (0, want.stdout), (version, got.stderr)
