@@ -148,8 +148,9 @@ def ack_machine(m0, n0, max_steps, max_digits, steps, peak):
 def knuth_machine(a, n0, b, max_steps, max_digits, steps, peak):
     """Extended up-arrow by its rewrite equations, level 0 one multiply:
     :func:`_tower` with offset 0 on :func:`~hyperfold.budget.mul_run`, which
-    finds a run's trip point in closed form, as the fold form's innermost
-    fold does.  It holds at most n0 + 1 runs.
+    finds a run's trip point itself, a float estimate walked to the exact
+    product, as the fold form's innermost fold does.  It holds at most n0 +
+    1 runs.
 
     For a = 1 and n0 >= 1 every value is 1, and the rules take exactly
     ``2 * n0 * b + 1`` steps (a level-k frame at 1 is 2k + 1 of them), so

@@ -45,10 +45,12 @@ one step per multiply, in the same protocol: the Knuth machine's level-0
 runs and the fold form's innermost ``foldn (a*) 1 x`` both call it.  Unlike
 a power, a run trips exactly where its multiplies one at a time would: on
 the first product that reaches the digit cap, or on the first multiply past
-the step budget.  The power of two in ``a`` is applied as a shift, so a run
-of doublings such as ``2**65536`` builds no power.  :func:`add_run`, ``val +
-count`` one step per increment, is the same for Ackermann's successor: the
-reference machine's level-0 runs call it.
+the step budget.  It finds that product in its own body: a float estimate
+of the multiply count, walked down or up to the exact one.  The power of two
+in ``a`` is applied as a shift, so a run of doublings such as ``2**65536``
+builds no power.  :func:`add_run`, ``val + count`` one step per increment,
+is the same for Ackermann's successor: the reference machine's level-0 runs
+call it.
 
 :func:`int_to_decimal` and :func:`decimal_to_int` own integer text and never
 read the interpreter's int<->str cap; messages and reprs show ints through
@@ -537,16 +539,38 @@ def mul_run(val, a, count, max_steps, max_digits, steps, peak):
     A counted run (see the module docstring), exactly as the multiplies
     run one at a time would.  A magnitude trip reports ``steps + j`` and
     the first product ``val * a**j`` with more than ``max_digits`` digits;
-    a step trip counts ``val * a**headroom`` in the peak.  Products
-    of ``a`` in {0, 1}, or of ``val = 0``, never exceed the peak; only a
-    growing run looks for its trip point, in closed form
-    (:func:`_first_reaching`).
+    a step trip counts ``val * a**headroom`` in the peak.  Products of
+    ``a`` in {0, 1}, or of ``val = 0``, never exceed the peak; only a
+    growing run of ``most`` multiplies, the lesser of the count and the
+    headroom, looks for its trip point.  One whose bit lengths add up to at
+    most :func:`safe_bits` has none.  Otherwise the float estimate
+    ``(max_digits - log10(val)) / log10(a)`` of j, the logarithm
+    :func:`pow_reaches_cap` uses, seeds a walk down or up by exact tests
+    (:func:`reaches_cap`), so no value much larger than ``a *
+    10**max_digits`` is ever built.
     """
     headroom = max_steps - steps
-    if a >= 2 and val and count and headroom > 0:
-        j, val = _first_reaching(val, a, max_digits, min(count, headroom))
-        if j:
-            return (TRIP_MAGNITUDE, 0, steps + j, val)
+    most = min(count, headroom)
+    if a >= 2 and val and most > 0:
+        if val.bit_length() + most * a.bit_length() <= safe_bits(max_digits):
+            val = _times_power(val, a, most)
+        else:
+            estimate = (max_digits - log10(val)) / log10(a)
+            j = most if estimate >= most else max(1, int(estimate))
+            val = _times_power(val, a, j)
+            if reaches_cap(val, max_digits):
+                while j > 1:
+                    smaller = val // a
+                    if not reaches_cap(smaller, max_digits):
+                        break
+                    val = smaller
+                    j -= 1
+                return (TRIP_MAGNITUDE, 0, steps + j, val)
+            while j < most:
+                val *= a
+                j += 1
+                if reaches_cap(val, max_digits):
+                    return (TRIP_MAGNITUDE, 0, steps + j, val)
         if val > peak:
             peak = val
     elif a == 0 and count:
@@ -571,39 +595,6 @@ def add_run(val, count, max_steps, max_digits, steps, peak):
     if count > headroom:
         return (TRIP_STEPS, 0, max_steps, peak)
     return (OK, top, steps + count, peak)
-
-
-def _first_reaching(val, a, max_digits, most):
-    """The first j in 1..most with ``val * a**j >= 10**max_digits``, and
-    that value.
-
-    Needs a >= 2, 1 <= val < 10**max_digits and most >= 1.  Returns ``(j,
-    val * a**j)``, or ``(0, val * a**most)`` when no such j exists.  A run
-    whose bit lengths add up to at most :func:`safe_bits` is that value at
-    once.  Otherwise the float estimate ``(max_digits - log10(val)) /
-    log10(a)`` of j, the logarithm :func:`pow_reaches_cap` uses, is
-    corrected by exact tests (:func:`reaches_cap`), so no value much larger
-    than ``a * 10**max_digits`` is ever built.
-    """
-    if val.bit_length() + most * a.bit_length() <= safe_bits(max_digits):
-        return (0, _times_power(val, a, most))
-    estimate = (max_digits - log10(val)) / log10(a)
-    j = most if estimate >= most else max(1, int(estimate))
-    v = _times_power(val, a, j)
-    if reaches_cap(v, max_digits):
-        while j > 1:
-            smaller = v // a
-            if not reaches_cap(smaller, max_digits):
-                break
-            v = smaller
-            j -= 1
-        return (j, v)
-    while j < most:
-        v *= a
-        j += 1
-        if reaches_cap(v, max_digits):
-            return (j, v)
-    return (0, v)
 
 
 def _times_power(val, a, j):

@@ -1,8 +1,9 @@
 """Independent oracles: direct transcriptions of the defining equations.
 
 Everything here is deliberately naive (memoized recursion straight off the
-equations) and shares no code with the package; expected values in the test
-tables were produced by these before being frozen.  ``count_ack_steps``
+equations, Ackermann's on an explicit stack) and shares no code with the
+package; expected values in the test tables were produced by these before
+being frozen.  ``count_ack_steps``
 additionally gives the exact number of equation applications the rewrite
 evaluator must account for, ``ack_cost`` the same count in closed form
 for m <= 3 at any n, ``knuth_cost`` the Knuth count from its recurrence,
@@ -14,7 +15,8 @@ chain of three entries, ``conway_22qr_ref_cost`` and
 ``conway_p1qr_ref_cost`` and ``conway_p1qr_prim_cost`` on p -> 1 -> q -> r,
 ``conway_p1qrs_ref_cost`` and ``conway_p1qrs_prim_cost`` on p -> 1 -> q ->
 r -> s, ``conway_22qrs_ref_cost`` and ``conway_22qrs_prim_cost`` on 2 -> 2
--> q -> r -> s,
+-> q -> r -> s, ``conway_22222r_ref_cost`` and ``conway_22222r_prim_cost``
+on 2 -> 2 -> 2 -> 2 -> 2 -> r,
 ``pow_cost`` the
 multiplies of a counted power,
 and ``ack_literal_machine``,
@@ -33,9 +35,7 @@ catalogue and compares every value it yields with the oracle
 
 from __future__ import annotations
 
-import sys
-import threading
-from functools import lru_cache
+from functools import lru_cache, wraps
 from typing import Callable
 
 from hyperfold.budget import TRIP_MAGNITUDE, Budget, Meter, reaches_cap
@@ -43,44 +43,49 @@ from hyperfold.folds import foldn
 from hyperfold.hyperops import _ensure_depth
 from hyperfold.notation import Ack, ChainE, ConwayCall, Knuth, NatLit, parse
 
-STACK_BYTES = 512 * 1024 * 1024
-RECURSION_LIMIT = 500_000
+def _unrolled(equations):
+    """The memoized function whose equations are ``equations``, run on an
+    explicit stack: a deep expansion, such as the 10^5 nested calls of
+    ``ack(4, 1)``, needs no native recursion, which CPython 3.12 and later
+    bound through ``lru_cache``'s C wrapper whatever the recursion limit.
+
+    ``equations(*args)`` is a generator: it yields the arguments of each
+    call of the function it makes, is sent that call's value, and returns
+    its own.  Every value is kept in one plain dict, as ``lru_cache`` would
+    keep it.
+    """
+    memo = {}
+
+    @wraps(equations)
+    def call(*args):
+        frames = []  # (arguments, equations) of each call under way
+        while True:
+            if args in memo:
+                value = memo[args]
+            else:
+                frames.append((args, equations(*args)))
+                value = None
+            while frames:
+                key, pending = frames[-1]
+                try:
+                    args = pending.send(value)
+                    break
+                except StopIteration as done:
+                    value = memo[key] = done.value
+                    frames.pop()
+            else:
+                return value
+
+    return call
 
 
-def run_deep(fn, *args):
-    """Run fn in a thread with a large stack; deep memoized recursion needs it."""
-    result: list = []
-    error: list = []
-
-    def target():
-        old = sys.getrecursionlimit()
-        sys.setrecursionlimit(RECURSION_LIMIT)
-        try:
-            result.append(fn(*args))
-        except BaseException as exc:  # noqa: BLE001 - reraised below
-            error.append(exc)
-        finally:
-            sys.setrecursionlimit(old)
-
-    old_size = threading.stack_size(STACK_BYTES)
-    try:
-        thread = threading.Thread(target=target)
-        thread.start()
-        thread.join()
-    finally:
-        threading.stack_size(old_size)
-    if error:
-        raise error[0]
-    return result[0]
-
-
-@lru_cache(maxsize=None)
-def ack(m: int, n: int) -> int:
+@_unrolled
+def ack(m: int, n: int):
     if m == 0:
         return n + 1
     if n == 0:
-        return ack(m - 1, 1)
-    return ack(m - 1, ack(m, n - 1))
+        return (yield m - 1, 1)
+    return (yield m - 1, (yield m, n - 1))
 
 
 @lru_cache(maxsize=None)
@@ -115,14 +120,14 @@ def _conway_rev(xs: tuple) -> int:
     return _conway_rev((q - 1, inner) + rest)
 
 
-@lru_cache(maxsize=None)
-def count_ack_steps(m: int, n: int) -> int:
+@_unrolled
+def count_ack_steps(m: int, n: int):
     """Equation applications in the naive expansion of ack(m, n)."""
     if m == 0:
         return 1
     if n == 0:
-        return 1 + count_ack_steps(m - 1, 1)
-    return 1 + count_ack_steps(m, n - 1) + count_ack_steps(m - 1, ack(m, n - 1))
+        return 1 + (yield m - 1, 1)
+    return 1 + (yield m, n - 1) + (yield m - 1, ack(m, n - 1))
 
 
 def ack_cost(m: int, n: int) -> int:
@@ -816,6 +821,65 @@ def conway_1pqrs_prim_cost(p: int, q: int, r: int, s: int) -> int:
     if s == 1:
         return 4 + conway_1pqr_prim_cost(p, q, r)
     return 8 + s + r * (6 if q == 1 else q + 2 * p + 3)
+
+
+def conway_22222r_ref_cost(r: int) -> int:
+    """The steps ``conway_ref((2, 2, 2, 2, 2, r))`` takes, one per rule, for
+    r >= 1, counted as in :func:`conway_ref_cost`; every value is 4.
+
+    Write F(q, r) for the cost at 2 -> 2 -> 2 -> 2 -> q -> r and D(q) for
+    :func:`conway_2222r_ref_cost`.
+
+    * r = 1: the last entry 1 is dropped, one rule: F(q, 1) = 1 + D(q).
+      This chain is F(2, 1) = 1 + 203 = 204.
+    * 2 -> 2 -> 2 -> 2 -> 1 -> r collapses past its 1 to 2 -> 2 -> 2 -> 2
+      -> 1, which drops its 1, and 2 -> 2 -> 2 -> 2 costs 23: F(1, r) =
+      25.
+    * q, r >= 2: the general rule fires q - 1 times and leaves q - 1
+      continuations 2 -> 2 -> 2 -> 2 -> _ -> (r - 1); then 2 -> 2 -> 2 -> 2
+      -> 1 -> r costs 25, and each continuation resumes at 2 -> 2 -> 2 ->
+      2 -> 4 -> (r - 1):
+
+          F(q, r) = (q - 1) + 25 + (q - 1) * F(4, r - 1).
+
+    F(4, t) = 28 + 3 * F(4, t - 1) from F(4, 1) = 1 + D(4) = 1792, so F(4,
+    t) + 14 = 1806 * 3^(t-1), and for r >= 2 this chain costs F(2, r) = 26
+    + F(4, r - 1) = 1806 * 3^(r-2) + 12.
+    """
+    if r == 1:
+        return 204
+    return 1806 * 3 ** (r - 2) + 12
+
+
+def conway_22222r_prim_cost(r: int) -> int:
+    """The steps ``conway_prim((2, 2, 2, 2, 2, r))`` charges, for r >= 1,
+    counted as in :func:`conway_prim_cost`; every value is 4.
+
+    The front end reduces the reversed chain r, 2, 2, 2, 2, 2 to q' = r -
+    1, p' = 1 and the tail (1, 1, 1, 1): 6 steps.  ``foldr aux cpow``
+    applies ``aux`` four times; the middle carrier k = ``aux 1 (aux 1 (aux
+    1 cpow))`` is 2 -> 2 -> 2 -> (x + 1) -> (y + 1) at (y, x), and the outer
+    one is entered at (q', 1) and applies ``layer`` q' times: 4 + 1 + q'
+    steps.  A call k(y, x) costs what :func:`conway_22qrs_prim_cost` counts
+    for its chain, less its front end (5) and its three ``aux`` (3): 7 *
+    3^x + x + 6 at y = 0, else 13 + y + x * (203 * 3^(y-1) - 6).
+
+    Write K(j, x) for the cost of entering the outer carrier's level-j
+    function at x.  Level 0 is ``flip_base`` calling k(x, 1): K(0, x) = 1 +
+    k(x, 1), 203 * 3^(x-1) + x + 8 for x >= 1.  A level-j >= 1 function is
+    entered once and starts from k(0, 1) = 4 at 29 steps; it then applies
+    its level j - 1 at 4 - 1 = 3, x times:
+
+        K(j, x) = 29 + x * K(j - 1, 3).
+
+    2 * K(j, 3) + 29 = 3 * (2 * K(j - 1, 3) + 29) from K(0, 3) = 1838, so
+    2 * K(j, 3) + 29 = 3705 * 3^j.  The steps are 6 + 5 + (r - 1) + K(r -
+    1, 1): 11 + K(0, 1) = 223 at r = 1, and 39 + r + K(r - 2, 3) = (3705 *
+    3^(r-2) + 49) / 2 + r for r >= 2.
+    """
+    if r == 1:
+        return 223
+    return (3705 * 3 ** (r - 2) + 49) // 2 + r
 
 
 def first_power_reaching(val, a, mag_limit):

@@ -33,6 +33,7 @@ from hyperfold.budget import (
     pow_counted,
     pow_reaches_cap,
     reaches_cap,
+    safe_bits,
 )
 from hyperfold.hyperops import knuth_prim, knuth_ref
 from hyperfold.notation import evaluate, parse
@@ -408,16 +409,42 @@ def test_mul_run_matches_plain_loop():
     assert cases == 157_440
 
 
+def test_mul_run_matches_plain_loop_on_each_side_of_the_safe_bits():
+    # a growing run of ``most`` multiplies whose bit lengths add up to at
+    # most safe_bits(max_digits) is one product at once, and one past it is
+    # seeded by the float estimate: each side of that branch point, at caps
+    # of thousands of multiplies, with the step budget below, at and above
+    # the count (``most`` is the smaller of the two)
+    offsets = set()
+    cases = 0
+    for max_digits, a, val in itertools.product(
+        (640, 2000), (2, 3, 10, 2**61 + 1), (1, 7)
+    ):
+        safe = safe_bits(max_digits)
+        fits = (safe - val.bit_length()) // a.bit_length()  # the most that fit
+        for most, steps in itertools.product(range(fits - 1, fits + 3), (0, 3)):
+            offsets.add(val.bit_length() + most * a.bit_length() - safe)
+            for count, headroom in ((most + 1, most), (most, most), (most, most + 1)):
+                args = (val, a, count, steps + headroom)
+                want = _plain_mul_run(*args, 10**max_digits, steps, val)
+                assert mul_run(*args, max_digits, steps, val) == want, args
+                cases += 1
+    assert cases == 384
+    assert {-1, 0, 1} <= offsets
+
+
 @pytest.mark.parametrize("scale", [0.5, 2], ids=["overshoot", "undershoot"])
 def test_a_multiply_run_corrects_a_wrong_estimate_either_way(monkeypatch, scale):
     # the float estimate only seeds the search for the trip point: with
     # log10(10) halved it lands past the trip and is walked down, doubled it
-    # lands short and is walked up, and exact tests find the same product
+    # lands short and is walked up, and exact tests find the same product,
+    # down to the first multiply (halved, 10**49 is seeded at two)
     log10 = budget.log10
     monkeypatch.setattr(budget, "log10", lambda x: log10(x) * (scale if x == 10 else 1))
     j, first = _oracles.first_power_reaching(7, 10, 10**50)
     assert j == 50
     assert mul_run(7, 10, 10**6, 10**9, 50, 0, 7) == (TRIP_MAGNITUDE, 0, j, first)
+    assert mul_run(10**49, 10, 5, 10**9, 50, 0, 10**49) == (TRIP_MAGNITUDE, 0, 1, 10**50)
 
 
 def _plain_add_run(val, count, max_steps, mag_limit, steps, peak):

@@ -226,10 +226,10 @@ def test_ack_heavy_point_needs_expanded_budget():
     # the default step budget, so the default run must trip...
     with pytest.raises(BudgetExceeded):
         ack_ref(4, 1, B)
-    need = _oracles.run_deep(_oracles.count_ack_steps, 4, 1)
+    need = _oracles.count_ack_steps(4, 1)
     assert need == 2_862_984_010
     # ...and a budget of exactly that many steps is enough, to the step
-    assert _oracles.run_deep(_oracles.ack, 4, 1) == 65533
+    assert _oracles.ack(4, 1) == 65533
     _pin_cost(ack_ref, (4, 1), need, 65533, max_digits=10**5)
 
 
@@ -988,6 +988,22 @@ def test_conway_2_2_2_2_r_costs_exactly_the_formula(run, cost, first):
     assert [cost(r) for r in range(1, 5)] == first
     for r in range(1, 10):
         _pin_cost(run, ((2, 2, 2, 2, r),), cost(r), 4, 1)
+
+
+@pytest.mark.parametrize(
+    "run, cost, first",
+    [
+        (conway_ref, _oracles.conway_22222r_ref_cost, [204, 1818, 5430, 16266, 48774]),
+        (conway_prim, _oracles.conway_22222r_prim_cost, [223, 1879, 5585, 16701, 50047]),
+    ],
+    ids=["ref", "prim"],
+)
+def test_conway_2_2_2_2_2_r_costs_exactly_the_formula(run, cost, first):
+    # 2->2->2->2->2->r = 4, pinned for r <= 8 (1,316,586 rules, 1,350,505
+    # fold steps); ``first`` holds the costs measured at r = 1..5
+    assert [cost(r) for r in range(1, 6)] == first
+    for r in range(1, 9):
+        _pin_cost(run, ((2, 2, 2, 2, 2, r),), cost(r), 4, 1)
 
 
 @pytest.mark.parametrize(
