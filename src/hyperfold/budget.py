@@ -23,11 +23,14 @@ of ten, from one bounded cache, which the decimal parser shares.
 Two ways to charge, one protocol.  The fold forms charge a :class:`Meter`
 directly: ``spend(1, v)`` charges one generator application and notes the
 value v it yields, in one call, and ``take`` checks a call's inputs, then
-notes their maximum.  Every counted run, the rewrite machines included, keeps
-local counters: it takes ``max_steps, max_digits, steps, peak`` as its last
-four arguments and returns a status tuple ``(status, value, steps,
-peak_value)``, status :data:`OK`, :data:`TRIP_STEPS` or :data:`TRIP_MAGNITUDE`.
-The counted-run contract: a run is called with ``steps`` and a ``peak``
+notes their maximum.  Ackermann's ``(+1)``, the hottest generator, comes
+from the meter itself: ``successor()`` returns a plain function with
+``spend``'s charge inlined, one Python call per application.  Every counted
+run, the rewrite machines included, keeps local counters: it takes
+``max_steps, max_digits, steps, peak`` as its last four arguments and
+returns a status tuple ``(status, value, steps, peak_value)``, status
+:data:`OK`, :data:`TRIP_STEPS` or :data:`TRIP_MAGNITUDE`.  The counted-run
+contract: a run is called with ``steps`` and a ``peak``
 (a raw value, not digits) below ``10**max_digits`` that is at least every
 value the run starts from, a machine's inputs or a run's ``val``: its
 caller took them in, so no run checks or notes its own.  Operands are
@@ -420,10 +423,13 @@ def decimal_to_int(text: str) -> int:
 class Meter:
     """Mutable consumption counter for one evaluation run.
 
-    The closure-based fold evaluators charge through this object directly;
-    the counted runs and rewrite machines keep local counters and reach it
-    through :meth:`run`.  Like every counted run, it checks a new peak with
-    :func:`reaches_cap` alone, so it builds nothing the size of its cap.
+    The closure-based fold evaluators charge through this object directly,
+    with :meth:`spend` or, for Ackermann's ``(+1)``, the function
+    :meth:`successor` returns, which charges each application itself in one
+    call; the counted runs and rewrite machines keep local counters and
+    reach it through :meth:`run`.  Like every counted run, it checks a new
+    peak with :func:`reaches_cap` alone, so it builds nothing the size of
+    its cap.
     """
 
     __slots__ = ("max_steps", "max_digits", "steps", "peak")
@@ -450,6 +456,32 @@ class Meter:
             if reaches_cap(value, self.max_digits):
                 raise self._magnitude_trip()
         return value
+
+    def successor(self):
+        """Ackermann's ``(+1)`` charged to this meter: a plain function
+        ``x -> x + 1`` that charges each application as ``spend(1, x + 1)``
+        does, the step checked first, then the new peak.
+
+        ``spend``'s body is inlined, so one application is one Python call.
+        The result is a function object, so a caller may give it an
+        ``iterate`` for :func:`~hyperfold.folds.foldn`."""
+        max_steps = self.max_steps
+        max_digits = self.max_digits
+
+        def succ(x: int) -> int:
+            steps = self.steps + 1
+            if steps > max_steps:
+                self.steps = max_steps
+                raise self._step_trip()
+            self.steps = steps
+            x += 1
+            if x > self.peak:
+                self.peak = x
+                if reaches_cap(x, max_digits):
+                    raise self._magnitude_trip()
+            return x
+
+        return succ
 
     def take(self, inputs, *, least: int = 0) -> list[int]:
         """Check each ``(name, value)`` input, in order, as an int >= ``least``

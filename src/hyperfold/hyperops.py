@@ -20,9 +20,11 @@ Each function of the hierarchy is implemented twice:
   subtract 1`` (free); ``step`` is otherwise the identity.  One step is
   charged per application of a generator (``succ``, ``times_a``, ``cpow``)
   or transformer (``layer``, ``aux``) and per entry into a closure they
-  build; ``succ`` and ``times_a`` charge theirs and note the value they
-  yield in one call, ``meter.spend(1, v)``, as does a Conway chain of
-  fewer than two entries, whose value is one application.  Fold fusion is
+  build; ``times_a`` charges its own and notes the value it yields in one
+  call, ``meter.spend(1, v)``, as does a Conway chain of fewer than two
+  entries, whose value is one application.  ``succ`` is
+  ``meter.successor()``, that same charge inlined in a plain function, so
+  each application of the innermost fold is one Python call.  Fold fusion is
   ``foldn``'s own law: a generator that carries ``iterate(v, c)`` has
   ``foldn gen v c`` run in closed form, charged as its c applications.
   Only ``times_a`` has one, so ``foldn (a*) 1 x = a^x`` is one run of x
@@ -121,12 +123,8 @@ def eval_ack_ref(m: int, n: int, meter: Meter) -> int:
 
 def eval_ack_prim(m: int, n: int, meter: Meter) -> int:
     meter.take((("m", m), ("n", n)))
-
-    def succ(x: int) -> int:
-        return meter.spend(1, x + 1)
-
     # foldn (\f -> foldn f (f 1)) (+1) m n
-    return _tower(succ, m, n, meter, lambda f: f(1))
+    return _tower(meter.successor(), m, n, meter, lambda f: f(1))
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ def _interpreter_state():
         sys.get_int_max_str_digits(),
         sys.getswitchinterval(),
         sys.gettrace(),
+        sys.getprofile(),
         context.prec,
         context.Emax,
         context.Emin,
@@ -36,8 +37,8 @@ def _interpreter_state():
 @pytest.fixture(autouse=True)
 def _interpreter_state_unchanged():
     # library calls share the interpreter with their caller, so no test may
-    # leave a process-global limit, a trace function or the thread's decimal
-    # context changed
+    # leave a process-global limit, a trace or profile function or the
+    # thread's decimal context changed
     before = _interpreter_state()
     yield
     assert _interpreter_state() == before

@@ -265,6 +265,46 @@ def test_meter_spend_charges_a_step_then_notes_its_value():
     assert trip.value.stats == EvalStats(steps_used=1, peak_digits=4)
 
 
+def _charged(charge, meter):
+    """What ``charge()`` returns or raises, and the meter it leaves."""
+    try:
+        outcome = ("value", charge())
+    except HyperError as trip:
+        outcome = (type(trip), str(trip), trip.stats)
+    return outcome, (meter.steps, meter.peak)
+
+
+@pytest.mark.parametrize("max_digits", [1, 2, 3, 640])
+def test_the_successor_charges_exactly_as_spend(max_digits):
+    # the successor inlines spend(1, x + 1); on twin meters both leave the
+    # same outcome, message, stats, steps and peak at every boundary
+    max_steps = 7
+    cap = 10**max_digits
+    for top in (1, cap - 1, cap, cap + 1):  # top = x + 1
+        for steps in (0, max_steps - 1, max_steps):
+            for peak in (0, top - 1, top, top + 1):
+                twins = []
+                for _ in range(2):
+                    meter = Meter(Budget(max_steps, max_digits))
+                    meter.steps, meter.peak = steps, peak
+                    twins.append(meter)
+                succ = twins[0].successor()
+                got = _charged(lambda: succ(top - 1), twins[0])
+                want = _charged(lambda: twins[1].spend(1, top), twins[1])
+                assert got == want, (top, steps, peak)
+    # one boundary of each kind, spelled out
+    meter = Meter(Budget(max_steps, max_digits))
+    meter.steps = max_steps - 1
+    assert meter.successor()(cap - 2) == cap - 1
+    assert (meter.steps, meter.peak) == (max_steps, cap - 1)
+    with pytest.raises(BudgetExceeded):
+        meter.successor()(0)
+    meter = Meter(Budget(max_steps, max_digits))
+    with pytest.raises(MagnitudeExceeded) as trip:
+        meter.successor()(cap - 1)
+    assert trip.value.stats == EvalStats(steps_used=1, peak_digits=max_digits + 1)
+
+
 def test_stats_combined():
     a = EvalStats(steps_used=3, peak_digits=2)
     b = EvalStats(steps_used=4, peak_digits=9)

@@ -1,4 +1,5 @@
 import itertools
+import os
 import subprocess
 import sys
 import time
@@ -19,7 +20,10 @@ from hyperfold.budget import (
     EvalStats,
     HyperError,
     MagnitudeExceeded,
+    Meter,
+    add_run,
 )
+from hyperfold.folds import foldn
 from hyperfold.hyperops import (
     ack_prim,
     ack_ref,
@@ -306,6 +310,49 @@ def test_ack_prim_costs_the_closed_form_at_large_n(m, n, value, cost):
     # far past the literal fold form's grid, one closed form per level
     assert _oracles.ack_prim_cost(m, n) == cost
     _pin_cost(ack_prim, (m, n), cost, value, len(str(value)))
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_ack_prim_makes_about_one_python_call_per_step(n):
+    # the successor charges its own step, so an application of (+1) is one
+    # Python call, not a closure and then Meter.spend (about 2 per step)
+    package = os.path.dirname(hyperops.__file__) + os.sep
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_filename.startswith(package):
+            calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        value, stats = ack_prim(3, n, B)
+    finally:
+        sys.setprofile(previous)
+    assert value == 2 ** (n + 3) - 3
+    assert calls <= 1.1 * stats.steps_used, (calls, stats.steps_used)
+
+
+def test_foldn_takes_an_iterate_set_on_the_meters_successor(monkeypatch):
+    # fold fusion for (+1) stays one line: the successor is a function
+    # object, so foldn runs an iterate set on it in place of its loop
+    meter = Meter(Budget(max_steps=10**7))
+    succ = meter.successor()
+    succ.iterate = lambda v, c: meter.run(add_run, v, c)
+    assert foldn(succ, 5, 10**6) == 10**6 + 5
+    assert (meter.steps, meter.peak) == (10**6, 10**6 + 5)
+
+    unfused = Meter.successor
+
+    def fused(self):
+        succ = unfused(self)
+        succ.iterate = lambda v, c: self.run(add_run, v, c)
+        return succ
+
+    want = [ack_prim(3, n, B) for n in range(6)]
+    monkeypatch.setattr(Meter, "successor", fused)
+    assert [ack_prim(3, n, B) for n in range(6)] == want
 
 
 # --- Knuth up-arrows -------------------------------------------------------
