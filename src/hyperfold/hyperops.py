@@ -30,6 +30,9 @@ Each function of the hierarchy is implemented twice:
   Only ``times_a`` has one, so ``foldn (a*) 1 x = a^x`` is one run of x
   multiplies (:func:`~hyperfold.budget.mul_run`, through ``Meter.run``)
   with the steps, peak and trip point of x entries into ``times_a``.
+  A closure ``layer`` builds keeps the applications it finished and
+  charges a repeat their recorded steps at once, exactly as running it
+  again would (see :func:`_tower`).
   ``eval_conway_prim`` is the front end and hands its reduced chain to
   ``eval_cback_prim``.
 
@@ -94,17 +97,32 @@ def _tower(gen, depth, x, meter, start, step=None):
     the identity by default, maps it to the folded function.
 
     One step is charged per application of ``layer`` and per entry into a
-    function it builds.
+    function it builds.  Each such function ``g`` is pure apart from the
+    meter, so it keeps the applications it finished, ``y -> (steps,
+    value)`` with ``steps`` all that ``g(y)`` charged, its entry included,
+    and a repeat is ``meter.spend(steps, value)`` (Michie's memo functions,
+    "'Memo' functions and machine learning", Nature 1968).  That is exact:
+    the repeat yields the same value after the same steps; every value it
+    would hold was held before, so it sets no new peak and cannot reach the
+    digit cap; if its steps pass the budget, the literal repeat trips at
+    ``max_steps`` with that same peak, as ``spend`` does; and an
+    application that raised leaves no entry.
     """
     _ensure_depth(depth, meter)
 
     def layer(f: Callable[[int], int]) -> Callable[[int], int]:
         meter.spend()
         h = f if step is None else step(f)
+        done = {}
 
         def g(y: int) -> int:
+            if y in done:
+                return meter.spend(*done[y])
+            before = meter.steps
             meter.spend()
-            return foldn(h, start(f), y)
+            value = foldn(h, start(f), y)
+            done[y] = (meter.steps - before, value)
+            return value
 
         return g
 

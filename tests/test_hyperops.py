@@ -355,6 +355,25 @@ def test_foldn_takes_an_iterate_set_on_the_meters_successor(monkeypatch):
     assert [ack_prim(3, n, B) for n in range(6)] == want
 
 
+
+def test_each_fold_layer_folds_once_per_argument(monkeypatch):
+    # a function a layer builds keeps the applications it finished, so a
+    # repeated g(y) is charged from its table and runs no fold again; the
+    # step objects are kept alive, as id() is reused after collection
+    folds = []
+
+    def recording_foldn(step, base, n):
+        folds.append((step, base, n))
+        return foldn(step, base, n)
+
+    monkeypatch.setattr(hyperops, "foldn", recording_foldn)
+    runs = ((ack_prim, (3, 6)), (knuth_prim, (1, 8, 300)), (knuth_prim, (0, 8, 300)))
+    for run, args in runs:
+        folds.clear()
+        run(*args, B)
+        assert len(set(folds)) == len(folds), (run.__name__, args)
+
+
 # --- Knuth up-arrows -------------------------------------------------------
 
 
@@ -656,6 +675,28 @@ def test_knuth_prim_matches_literal_sampled(a, n, b, max_steps, max_digits):
     budget = Budget(max_steps, max_digits)
     want = _outcome(_oracles.knuth_literal_prim, a, n, b, budget=budget)
     assert _outcome(eval_knuth_prim, a, n, b, budget=budget) == want
+
+
+
+def test_fold_forms_match_literal_at_every_step_budget():
+    # a repeat charged from a layer's table trips where the literal repeat
+    # would: every budget up to the cost, at tight and loose digit caps
+    calls = [
+        (eval_ack_prim, _oracles.ack_literal_prim, _oracles.ack_prim_cost, args)
+        for args in itertools.product(range(4), range(3))
+    ] + [
+        (eval_knuth_prim, _oracles.knuth_literal_prim, _oracles.knuth_prim_cost, args)
+        for args in itertools.product(range(3), range(4), range(4))
+    ]
+    compared = 0
+    for evaluator, literal, cost, args in calls:
+        budgets = itertools.product(range(1, cost(*args) + 1), (1, 2, 3, 100))
+        for max_steps, max_digits in budgets:
+            budget = Budget(max_steps, max_digits)
+            want = _outcome(literal, *args, budget=budget)
+            assert _outcome(evaluator, *args, budget=budget) == want, (args, budget)
+            compared += 1
+    assert compared == 2680
 
 
 # --- cpow and the Conway back end -----------------------------------------

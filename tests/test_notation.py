@@ -285,7 +285,11 @@ def test_memory_follows_the_work_not_the_step_budget(expr):
     and a traceback object (about 300 B) for each of the at most three
     Python calls a layer nests: under 1.5 KiB a layer.  A tower has at
     most CLOSURE_DEPTH_LIMIT layers, and at most two are alive at once (a
-    chain of four entries has two carriers, each with its tower).
+    chain of four entries has two carriers, each with its tower).  Each
+    function a layer builds also keeps a table of the applications it
+    finished, an entry per distinct argument: Ackermann's first layer
+    keeps the most, on the order of sqrt(steps) entries, about 18 KB at
+    10**5 steps, so tables follow the work done too.
 
     Values: the running multiply or power's two operands and product (3),
     CPython's Karatsuba scratch for that product (under 3), the powers of

@@ -1,6 +1,8 @@
-"""The package's source stays within the Python it declares it needs."""
+"""The package's source stays within the Python it declares it needs, and every
+code name its documentation cites exists."""
 
 import ast
+import importlib
 import pathlib
 import re
 import subprocess
@@ -102,3 +104,90 @@ def test_the_package_runs_on_every_python_it_declares():
         assert (selftest.returncode, selftest.stdout) == (0, passed), version
         got = _run_cli(exe, *deepest)
         assert (got.returncode, got.stdout) == (0, want.stdout), (version, got.stderr)
+
+
+_PACKAGE = ROOT / "src" / "hyperfold"
+_MODULES = sorted(p.stem for p in _PACKAGE.glob("*.py") if p.stem != "__init__")
+
+
+def _resolve(name: str, namespace: dict):
+    """The object a dotted ``name`` denotes: its first part looked up in
+    ``namespace`` if there, else the longest importable module prefix;
+    every later part by ``getattr``."""
+    parts = name.split(".")
+    if parts[0] in namespace:
+        obj, rest = namespace[parts[0]], parts[1:]
+    else:
+        for cut in range(len(parts), 0, -1):
+            try:
+                obj = importlib.import_module(".".join(parts[:cut]))
+            except ImportError:
+                continue
+            rest = parts[cut:]
+            break
+        else:
+            raise AttributeError(name)
+    for part in rest:
+        obj = getattr(obj, part)
+    return obj
+
+
+def _readme_names() -> set[str]:
+    """Each backticked dotted name in README.md that starts with a package
+    module or ``Meter.``, without any call arguments."""
+    starts = "|".join(["hyperfold", "Meter", *map(re.escape, _MODULES)])
+    pattern = re.compile(rf"`((?:{starts})(?:\.\w+)+)[^`]*`")
+    return set(pattern.findall((ROOT / "README.md").read_text()))
+
+
+def test_every_code_name_the_readme_cites_exists():
+    # a rename leaves the prose behind unless something reads it
+    namespace = {m: importlib.import_module(f"hyperfold.{m}") for m in _MODULES}
+    namespace["Meter"] = namespace["budget"].Meter
+    names = _readme_names()
+    assert {"hyperops._tower", "Meter.successor", "budget.mul_run"} <= names
+    missing = set()
+    for name in sorted(names):
+        try:
+            _resolve(name, namespace)
+        except AttributeError:
+            missing.add(name)
+    assert not missing, f"README.md cites {sorted(missing)}, which do not exist"
+
+
+_ROLE = re.compile(r":(?:func|meth|class|data|mod):`~?([\w.]+)`")
+
+
+def _enclosing_classes(tree: ast.Module) -> dict[int, str]:
+    """The innermost class around each line of a module, by line number
+    (``ast.walk`` reaches a class after the class around it)."""
+    return {
+        line: node.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        for line in range(node.lineno, node.end_lineno + 1)
+    }
+
+
+def test_every_cross_reference_in_the_package_exists():
+    # each :func:, :meth:, :class:, :data: and :mod: role resolves from the
+    # module that writes it; a bare method name, on the class around it
+    cited = 0
+    missing = []
+    for path in sorted(_PACKAGE.glob("*.py")):
+        name = f"hyperfold.{path.stem}".removesuffix(".__init__")
+        module = importlib.import_module(name)
+        text = path.read_text()
+        classes = _enclosing_classes(ast.parse(text))
+        for match in _ROLE.finditer(text):
+            line = text.count("\n", 0, match.start()) + 1
+            namespace = vars(module)
+            if line in classes:
+                namespace = {**vars(getattr(module, classes[line])), **namespace}
+            try:
+                _resolve(match[1], namespace)
+            except AttributeError:
+                missing.append(f"{path.name}:{line} {match[1]}")
+            cited += 1
+    assert cited > 60
+    assert not missing, f"cross-references to nothing: {missing}"
