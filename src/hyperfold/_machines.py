@@ -70,8 +70,9 @@ def _tower(level, x, base_run, offset, max_steps, max_digits, steps, peak):
     k-1 below k.  Here the stack holds ``(level, count)`` runs, two rules:
 
     * descent: a level-k >= 1 frame at x is the next x+1 applications,
-      charged at once; it pushes ``(k-1, x + offset)`` (nothing for 0) and
-      sets x = 1, never a new peak, as ``level <= peak`` is required;
+      charged at once; it pushes ``(k-1, x + offset)``, an empty run for 0,
+      popped on the same pass, and sets x = 1, never a new peak, as
+      ``level <= peak`` is required;
     * base run: c level-0 frames are one ``base_run(x, c, max_steps,
       max_digits, steps, peak)`` call, which ends in the status-tuple
       protocol as its c applications one at a time would.
@@ -100,10 +101,9 @@ def _tower(level, x, base_run, offset, max_steps, max_digits, steps, peak):
             steps += x + 1
             if steps > max_steps:
                 return (TRIP_STEPS, 0, max_steps, peak)
-            if x + offset:
-                if c:
-                    _push_run(blocks, k, None, c)
-                k, c = k - 1, x + offset
+            if c:
+                _push_run(blocks, k, None, c)
+            k, c = k - 1, x + offset
             x = 1
         if not c:
             if not blocks:

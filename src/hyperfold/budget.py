@@ -67,6 +67,8 @@ recurring size, such as a session's repeated ``2^^5``, build no power.
 
 :class:`Record` is the frozen value class of :class:`Budget`,
 :class:`EvalStats`, the syntax nodes and the CLI's configuration.
+:data:`DEFAULT_BUDGET` is the one default budget: every public evaluator,
+``evaluate``, the self-test and the CLI's flags start from it.
 """
 
 from __future__ import annotations
@@ -143,16 +145,15 @@ def _limit(name: str, value: int) -> int:
 class Budget(Record):
     """Resource limits threaded through every evaluation."""
 
-    # the defaults, which cli also reads on the class; the instance's own
-    # values live in its __dict__, as a class attribute and a slot cannot
-    # share a name
-    max_steps = 10**7
-    max_digits = 10**5
-    __match_args__ = ("max_steps", "max_digits")
+    __slots__ = __match_args__ = ("max_steps", "max_digits")
 
-    def __init__(self, max_steps: int = max_steps, max_digits: int = max_digits):
+    def __init__(self, max_steps: int = 10**7, max_digits: int = 10**5):
         object.__setattr__(self, "max_steps", _limit("max_steps", max_steps))
         object.__setattr__(self, "max_digits", _limit("max_digits", max_digits))
+
+
+#: the budget of every call that names none, and the CLI's flag defaults
+DEFAULT_BUDGET = Budget()
 
 
 class EvalStats(Record):
@@ -176,10 +177,10 @@ class HyperError(Exception):
 
     kind = "error"
 
-    def __init__(self, detail: str, stats: EvalStats | None = None):
+    def __init__(self, detail: str, stats: EvalStats = EvalStats()):
         super().__init__(detail)
         self.detail = detail
-        self.stats = stats if stats is not None else EvalStats()
+        self.stats = stats
 
 
 class BudgetExceeded(HyperError):
@@ -575,7 +576,10 @@ def mul_run(val, a, count, max_steps, max_digits, steps, peak):
     ``a`` in {0, 1}, or of ``val = 0``, never exceed the peak; only a
     growing run of ``most`` multiplies, the lesser of the count and the
     headroom, looks for its trip point.  One whose bit lengths add up to at
-    most :func:`safe_bits` has none.  Otherwise the float estimate
+    most :func:`safe_bits` has none, and that branch must stay: besides
+    skipping the estimate, it keeps a cap past about 10**308 digits, which
+    every run in memory fits, out of the float ``max_digits - log10(val)``,
+    where it would raise ``OverflowError``.  Otherwise the float estimate
     ``(max_digits - log10(val)) / log10(a)`` of j, the logarithm
     :func:`pow_reaches_cap` uses, seeds a walk down or up by exact tests
     (:func:`reaches_cap`), so no value much larger than ``a *

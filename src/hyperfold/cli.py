@@ -19,6 +19,7 @@ import os
 import sys
 
 from .budget import (
+    DEFAULT_BUDGET,
     Budget,
     BudgetExceeded,
     ConstructionLimit,
@@ -55,8 +56,8 @@ class Config(Record):
     def __init__(
         self,
         form: str = BOTH,
-        max_steps: int = Budget.max_steps,
-        max_digits: int = Budget.max_digits,
+        max_steps: int = DEFAULT_BUDGET.max_steps,
+        max_digits: int = DEFAULT_BUDGET.max_digits,
         quiet: bool = False,
     ):
         object.__setattr__(self, "form", form)
@@ -192,14 +193,14 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--max-steps",
         type=_positive_int,
-        default=Budget.max_steps,
+        default=DEFAULT_BUDGET.max_steps,
         metavar="N",
         help="step budget per evaluation (default 10^7)",
     )
     parser.add_argument(
         "--max-digits",
         type=_positive_int,
-        default=Budget.max_digits,
+        default=DEFAULT_BUDGET.max_digits,
         metavar="N",
         help="decimal-digit cap on any intermediate value (default 10^5)",
     )

@@ -76,7 +76,8 @@ class ChurchNat:
     exactly ``n`` step applications, on any carrier.
 
     Instances are immutable; build them with :func:`church_zero`,
-    :func:`church_succ` or :func:`church_from_natural`.
+    :func:`church_succ` or :func:`church_from_natural`.  Copies and pickles
+    are rebuilt from the depth, with no recursion per layer and no cap.
     """
 
     __slots__ = ("_pred",)
@@ -86,6 +87,9 @@ class ChurchNat:
 
     def __setattr__(self, name, value):
         raise AttributeError("ChurchNat is immutable")
+
+    def __reduce__(self):
+        return (_church_of_depth, (church_to_natural(self),))
 
     def apply(self, step: Callable[[A], A], base: A) -> A:
         # succ(x).apply(s, z) == s(x.apply(s, z)); every layer applies the
@@ -100,6 +104,10 @@ class ChurchNat:
 
 
 _ZERO = ChurchNat(None)
+
+
+def _church_of_depth(n: int) -> ChurchNat:
+    return foldn(church_succ, _ZERO, n)
 
 
 def church_zero() -> ChurchNat:
@@ -121,7 +129,7 @@ def church_from_natural(n: int) -> ChurchNat:
             f"numeral of depth {value_text(n)} exceeds the construction cap "
             f"{value_text(DEFAULT_CHURCH_CAP)}"
         )
-    return foldn(church_succ, _ZERO, n)
+    return _church_of_depth(n)
 
 
 def church_to_natural(x: ChurchNat) -> int:

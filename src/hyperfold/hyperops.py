@@ -39,7 +39,8 @@ Each function of the hierarchy is implemented twice:
 Every evaluator of both families opens with one prologue, ``meter.take``:
 it validates the call's arguments or the chain's entries in order, then
 notes their maximum once, before any machine or fold runs, so the machines
-take their inputs as given.
+take their inputs as given.  A public call that names no budget runs under
+:data:`~hyperfold.budget.DEFAULT_BUDGET`.
 
 The two families agree pointwise on every input where both finish within
 budget; that agreement is this package's reason to exist, and the property
@@ -58,6 +59,7 @@ from typing import Callable, Sequence
 
 from ._machines import ack_machine, conway_machine, knuth_machine
 from .budget import (
+    DEFAULT_BUDGET,
     Budget,
     ConstructionLimit,
     Meter,
@@ -69,8 +71,6 @@ from .folds import foldn, foldr_seq
 
 #: a Conway chain in written order; every entry >= 1, empty chain denotes 1
 Chain = tuple[int, ...]
-
-DEFAULT_BUDGET = Budget()
 
 #: fold-form evaluation nests a few Python frames per closure layer; beyond
 #: this the interpreter stack is at risk, and nothing this deep fits any

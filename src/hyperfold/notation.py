@@ -22,6 +22,7 @@ from __future__ import annotations
 from typing import NamedTuple, Union
 
 from .budget import (
+    DEFAULT_BUDGET,
     Budget,
     EvalStats,
     Meter,
@@ -31,7 +32,6 @@ from .budget import (
     value_text,
 )
 from .hyperops import (
-    DEFAULT_BUDGET,
     eval_ack_prim,
     eval_ack_ref,
     eval_conway_prim,
@@ -60,22 +60,26 @@ class ParseError(Exception):
     """Syntax failure, with position and what would have been accepted."""
 
     def __init__(self, message: str, pos: SourcePos, expected: frozenset[str]):
-        super().__init__(f"{message} at line {pos.line}, column {pos.column}")
+        super().__init__(message, pos, expected)
         self.message = message
         self.pos = pos
         self.expected = expected
+
+    def __str__(self):
+        return f"{self.message} at line {self.pos.line}, column {self.pos.column}"
 
 
 class MismatchError(Exception):
     """Reference and fold forms disagreed: an implementation bug, not bad input."""
 
     def __init__(self, reference_value: int, primitive_value: int):
-        super().__init__(
-            "reference and primitive evaluations disagree: "
-            f"{int_to_decimal(reference_value)} vs {int_to_decimal(primitive_value)}"
-        )
+        super().__init__(reference_value, primitive_value)
         self.reference_value = reference_value
         self.primitive_value = primitive_value
+
+    def __str__(self):
+        ref, prim = map(int_to_decimal, self.args)
+        return f"reference and primitive evaluations disagree: {ref} vs {prim}"
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,13 @@ import random
 from typing import Callable, NamedTuple
 
 from . import notation
-from .budget import Budget, BudgetExceeded, HyperError, MagnitudeExceeded
+from .budget import (
+    DEFAULT_BUDGET,
+    Budget,
+    BudgetExceeded,
+    HyperError,
+    MagnitudeExceeded,
+)
 from .folds import (
     church_fold,
     church_from_natural,
@@ -508,7 +514,7 @@ def _first_failure(law: Law, budget: Budget) -> str | None:
 
 def run_selftest(
     level: str = QUICK,
-    budget: Budget | None = None,
+    budget: Budget = DEFAULT_BUDGET,
     out: Callable[[str], None] = print,
 ) -> int:
     """Check every law of the requested level (``full`` includes the quick
@@ -516,7 +522,6 @@ def run_selftest(
     returns a process exit code (0 pass, 1 fail)."""
     if level not in (QUICK, FULL):
         raise ValueError(f"level must be '{QUICK}' or '{FULL}', got {level!r}")
-    budget = budget if budget is not None else Budget()
     passed = failed = 0
     for law in LAWS:
         if level == QUICK and law.level != QUICK:

@@ -487,6 +487,17 @@ def test_a_multiply_run_corrects_a_wrong_estimate_either_way(monkeypatch, scale)
     assert mul_run(10**49, 10, 5, 10**9, 50, 0, 10**49) == (TRIP_MAGNITUDE, 0, 1, 10**50)
 
 
+def test_a_multiply_run_under_a_cap_past_the_float_range_fits_at_once():
+    # mul_run's all-fits branch is load-bearing: past about 10**308 digits
+    # the estimate's max_digits - log10(val) cannot be taken as a float
+    cap = 10**400
+    with pytest.raises(OverflowError):
+        cap - math.log10(7)
+    value = 7 * 10**1000
+    assert mul_run(7, 10, 1000, 10**9, cap, 0, 7) == (OK, value, 1000, value)
+    assert mul_run(3, 2, 10**6, 500, cap, 0, 3) == (TRIP_STEPS, 0, 500, 3 << 500)
+
+
 def _plain_add_run(val, count, max_steps, mag_limit, steps, peak):
     """The increments one at a time, each charged and noted."""
     for _ in range(count):

@@ -251,6 +251,22 @@ def test_flag_validation():
         assert "_positive_int" not in proc.stderr
 
 
+def test_help_names_the_default_budget():
+    # each flag defaults to DEFAULT_BUDGET's limit, which --help writes as a
+    # power of ten
+    help_text = " ".join(run_cli("--help").stdout.split())
+    args = cli._build_parser().parse_args(["eval", "2"])
+    for flag, name, what in (
+        ("--max-steps", "max_steps", "step budget per evaluation"),
+        ("--max-digits", "max_digits", "decimal-digit cap on any intermediate value"),
+    ):
+        limit = getattr(budget.DEFAULT_BUDGET, name)
+        exponent = len(str(limit)) - 1
+        assert limit == 10**exponent
+        assert f"{flag} N {what} (default 10^{exponent})" in help_text
+        assert getattr(args, name) == limit
+
+
 @pytest.mark.parametrize("flag", ["--max-steps", "--max-digits"])
 def test_a_flag_reads_as_a_decimal_digit_run(flag):
     # as the lexer reads a literal: no sign, space or separator, zero is

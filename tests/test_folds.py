@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -174,6 +177,38 @@ def test_church_deep_numeral_does_not_recurse():
     # apply walks iteratively; a 200k-deep numeral must not blow the stack
     big = church_from_natural(200_000)
     assert church_to_natural(big) == 200_000
+
+
+def _copies(numeral):
+    yield copy.copy(numeral)
+    yield copy.deepcopy(numeral)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        yield pickle.loads(pickle.dumps(numeral, protocol))
+
+
+@pytest.mark.parametrize("depth", [0, 1, 42, 10**5])
+def test_church_copies_and_pickles_apply_as_the_original(depth):
+    # rebuilt from the depth: a pickle of the chain itself would recurse
+    # once per layer, and the slot restore would go through __setattr__
+    def step(x):
+        return (3 * x + 1) % 1_000_003
+
+    numeral = church_from_natural(depth)
+    value = foldn(step, 0, depth)
+    for again in _copies(numeral):
+        assert type(again) is ChurchNat
+        assert again.apply(step, 0) == value
+        with pytest.raises(AttributeError):
+            again._pred = None
+    assert pickle.loads(pickle.dumps(church_zero())) is church_zero()
+
+
+def test_church_copies_past_the_construction_cap(monkeypatch):
+    monkeypatch.setattr(folds, "DEFAULT_CHURCH_CAP", 10)
+    numeral = church_succ(church_succ(church_from_natural(10)))
+    for again in _copies(numeral):
+        assert church_to_natural(again) == 12
+        assert church_fold(lambda s: s + "|", "", again) == "|" * 12
 
 
 def test_church_nat_type():

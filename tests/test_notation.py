@@ -1,5 +1,7 @@
+import copy
 import decimal
 import itertools
+import pickle
 import re
 import sys
 import tracemalloc
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _oracles
+import hyperfold
 from hyperfold import notation
 from hyperfold.budget import (
     Budget,
@@ -186,6 +189,10 @@ exprs = st.recursive(
     ),
     max_leaves=12,
 )
+# Hypothesis checks that an extend function uses its argument by reading its
+# source, at the first draw unless validated sooner; reading it now, at
+# import, means an edit to this file during a run cannot shift the lines read
+exprs.validate()
 
 
 @settings(max_examples=500)
@@ -442,6 +449,7 @@ hostile_exprs = st.recursive(
     ),
     max_leaves=6,
 )
+hostile_exprs.validate()  # at import, as exprs is
 
 
 def _leaves(e) -> list:
@@ -596,6 +604,42 @@ def test_mismatch_error_shape():
     assert err.reference_value == 4
     assert err.primitive_value == 5
     assert "4" in str(err) and "5" in str(err)
+
+
+def _raised(fn, *args):
+    with pytest.raises(Exception) as info:
+        fn(*args)
+    return info.value
+
+
+def test_every_error_class_round_trips_through_pickle():
+    # a process-pool worker sends an error back by pickle: each class the
+    # package raises comes back, and copies, with its class, message and fields
+    errors = [
+        _raised(parse, "3->"),
+        MismatchError(1, 2),
+        _raised(ack_ref, 3, 3, Budget(max_steps=5)),
+        _raised(knuth_ref, 10, 1, 5, Budget(max_digits=3)),
+        _raised(ack_ref, -1, 0),
+        _raised(ack_prim, CLOSURE_DEPTH_LIMIT + 1, 0),
+    ]
+    exported = {
+        cls
+        for cls in map(vars(hyperfold).get, hyperfold.__all__)
+        if isinstance(cls, type) and issubclass(cls, Exception)
+    }
+    assert {type(error) for error in errors} == exported - {HyperError}
+    assert errors[2].stats == EvalStats(steps_used=5, peak_digits=1)
+    for error in errors:
+        pickles = [
+            pickle.loads(pickle.dumps(error, protocol))
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+        ]
+        for again in pickles + [copy.copy(error), copy.deepcopy(error)]:
+            assert type(again) is type(error)
+            assert str(again) == str(error)
+            assert again.args == error.args
+            assert vars(again) == vars(error)
 
 
 def test_literal_magnitude_checked_by_budget():

@@ -8,12 +8,14 @@ on its limits are pinned in test_budget.py.
 """
 
 import copy
+import inspect
 import pickle
 
 import pytest
 
-from hyperfold import cli
-from hyperfold.budget import Budget, EvalStats
+import hyperfold
+from hyperfold import cli, selftest
+from hyperfold.budget import DEFAULT_BUDGET, Budget, EvalStats, Record
 from hyperfold.notation import Ack, ChainE, ConwayCall, Knuth, NatLit
 
 ONE, TWO, THREE = NatLit(1), NatLit(2), NatLit(3)
@@ -68,10 +70,31 @@ def test_defaults():
             cls()
 
 
-def test_budget_defaults_are_read_on_the_class():
-    # cli takes its flag defaults from the class itself
-    assert Budget.max_steps == 10**7
-    assert Budget.max_digits == 10**5
+def test_default_budget_is_the_one_default():
+    # the numbers live in Budget.__init__ alone, not on the class, and every
+    # call that names no budget takes the one instance budget builds
+    assert DEFAULT_BUDGET == Budget(10**7, 10**5)
+    assert not isinstance(Budget.max_steps, int)
+    assert not isinstance(Budget.max_digits, int)
+    takers = [
+        fn
+        for fn in map(vars(hyperfold).get, hyperfold.__all__)
+        if inspect.isfunction(fn) and "budget" in inspect.signature(fn).parameters
+    ]
+    assert len(takers) == 9  # the eight evaluators and evaluate
+    for fn in takers + [selftest.run_selftest]:
+        assert inspect.signature(fn).parameters["budget"].default is DEFAULT_BUDGET
+    assert cli.Config().budget() == DEFAULT_BUDGET
+
+
+def test_every_record_is_slotted():
+    # each field is a slot named in __match_args__, and no instance has a
+    # __dict__ to hold anything else
+    records = set(Record.__subclasses__())
+    assert records == {sample[0] for sample in SAMPLES}
+    for cls, args, _ in SAMPLES:
+        assert cls.__slots__ == cls.__match_args__
+        assert not hasattr(cls(*args), "__dict__")
 
 
 @pytest.mark.parametrize("cls, args, kwargs", SAMPLES, ids=_IDS)
