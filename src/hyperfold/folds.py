@@ -21,6 +21,8 @@ their step functions (see :mod:`hyperfold.hyperops`).
 
 from __future__ import annotations
 
+import sys
+from itertools import repeat
 from operator import index
 from typing import Callable, Sequence, TypeVar
 
@@ -42,16 +44,19 @@ def foldn(step: Callable[[A], A], base: A, n: int) -> A:
     foldn g e 0 == e
     foldn g e n == g (foldn g e (n - 1))   (n > 0)
 
-    ``n`` is an ``int`` of any size (``range`` takes indices past
-    ``sys.maxsize``, which a fold may reach before its step trips); a
-    negative one raises ``ValueError`` and a non-``int`` ``TypeError``.
+    ``n`` is an ``int`` of any size; a negative one raises ``ValueError``
+    and a non-``int`` ``TypeError``.  The loop counts on ``repeat`` up to
+    ``sys.maxsize``, so it builds no index object per application (``range``
+    makes a fresh ``int`` for each index past 256); past ``sys.maxsize``,
+    which ``repeat`` refuses but a fold may reach before its step trips, it
+    counts on ``range``.
     """
     if n < 0:
         raise ValueError(f"foldn index must be non-negative, got {value_text(n)}")
     if hasattr(step, "iterate"):
         return step.iterate(base, index(n))
     acc = base
-    for _ in range(n):
+    for _ in repeat(None, n) if n <= sys.maxsize else range(n):
         acc = step(acc)
     return acc
 

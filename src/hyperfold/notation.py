@@ -162,7 +162,9 @@ def _tokenize(text: str) -> list[_Token]:
             continue
         end = offset + 1
         if ch.isdecimal():
-            while end < size and text[end].isdecimal():
+            # one digit past the cap is enough to refuse the numeral
+            stop = min(size, offset + MAX_LITERAL_DIGITS + 1)
+            while end < stop and text[end].isdecimal():
                 end += 1
             if end - offset > MAX_LITERAL_DIGITS:
                 raise _error(

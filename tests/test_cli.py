@@ -203,11 +203,18 @@ def test_primitive_multiply_runs_trip_within_a_second(text, stats):
 def test_cli_imports_the_selftest_suites_only_for_selftest():
     # nor dataclasses and the inspect module it pulls in, nor decimal, which
     # only a big value's rendering needs; argparse, which every command
-    # needs, is imported with cli itself
+    # needs, is imported with cli itself.  The child runs without site (-S),
+    # whose start-up imports vary with the installed packages, and imports
+    # the package from this source tree.
     names = ["hyperfold.selftest", "dataclasses", "inspect", "decimal", "argparse"]
-    probe = f"import sys, hyperfold.cli; print([n in sys.modules for n in {names}])"
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    src = os.path.join(root, "src")
+    probe = (
+        f"import sys; sys.path.insert(0, {src!r}); import hyperfold.cli; "
+        f"print([n in sys.modules for n in {names}])"
+    )
     proc = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60
+        [sys.executable, "-S", "-c", probe], capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[False, False, False, False, True]\n"

@@ -1,5 +1,6 @@
 import copy
 import pickle
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -53,15 +54,22 @@ def test_foldn_index_is_any_int():
             raise Stop
         return x + 1
 
-    # an index past sys.maxsize runs until its step stops it
-    with pytest.raises(Stop):
-        foldn(step, 0, 10**30)
-    assert calls == [0, 1, 2]
+    # an index runs until its step stops it, on either side of sys.maxsize,
+    # where the loop's counter changes from repeat to range
+    for n in (sys.maxsize, sys.maxsize + 1, 10**30):
+        calls.clear()
+        with pytest.raises(Stop):
+            foldn(step, 0, n)
+        assert calls == [0, 1, 2]
+    # a bool is an int: True applies the step once, False not at all
+    calls.clear()
+    assert foldn(step, 0, True) == 1
+    assert foldn(step, 0, False) == 0
     with pytest.raises(TypeError):
         foldn(step, 0, 2.5)
     with pytest.raises(ValueError):
         foldn(step, 0, -(10**30))
-    assert len(calls) == 3
+    assert calls == [0]
 
 
 def test_foldn_runs_a_steps_iterate():

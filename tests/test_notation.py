@@ -36,6 +36,7 @@ from hyperfold.hyperops import (
 )
 from hyperfold.notation import (
     FORMS,
+    MAX_LITERAL_DIGITS,
     Ack,
     ChainE,
     ConwayCall,
@@ -133,6 +134,24 @@ def test_overlong_numeral_rejected_at_lex_time():
     with pytest.raises(ParseError) as exc_info:
         parse("1" * (10**5 + 1))
     assert exc_info.value.pos.offset == 0
+
+
+def test_overlong_numeral_is_refused_without_reading_all_of_it():
+    class CountingStr(str):
+        reads = 0
+
+        def __getitem__(self, key):
+            CountingStr.reads += 1
+            return str.__getitem__(self, key)
+
+    text = CountingStr("(\n" + "7" * 10**6)
+    with pytest.raises(ParseError) as exc_info:
+        parse(text)
+    error = exc_info.value
+    assert error.message == "numeral longer than 100000 digits"
+    assert error.pos == SourcePos(2, 2, 1)
+    assert error.expected == {"shorter numeral"}
+    assert CountingStr.reads <= MAX_LITERAL_DIGITS + 10
 
 
 @pytest.mark.parametrize("text", ["\u00b2", "1\u00b2", "2^^\u00b9"])
